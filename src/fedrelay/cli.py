@@ -73,6 +73,8 @@ class RunConfig:
             raise ScenarioError("exactly one of --scenario, --preset, --random is required")
         if self.scenario_path is None and self.seed is None:
             raise ScenarioError("--seed is required with --preset and --random")
+        if self.power_grid < 1:
+            raise ScenarioError(f"--power-grid must be >= 1, got {self.power_grid}")
 
     def scenario(self) -> Scenario:
         if self.scenario_path is not None:
@@ -296,7 +298,10 @@ def _add_common(parser: argparse.ArgumentParser, with_out: bool) -> None:
     parser.add_argument("--eps-nash", type=float, default=1e-6)
     parser.add_argument("--m-schedule", default=None, help="comma-separated penalty coefficients")
     parser.add_argument("--max-iter", type=int, default=100)
-    parser.add_argument("--power-grid", type=int, default=50)
+    parser.add_argument(
+        "--power-grid", type=int, default=50, metavar="N",
+        help="direct-link transmit power floor is p_max / N (default 50)",
+    )
     if with_out:
         parser.add_argument("--out", required=True, help="output directory")
         parser.add_argument("--format", choices=("csv", "json", "table"), default="table")

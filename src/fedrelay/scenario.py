@@ -92,6 +92,8 @@ class Scenario:
             raise ScenarioError(
                 f"positions must have shape ({n + 1}, 2) for {n} devices plus the access point"
             )
+        if not np.all(np.isfinite(self.positions)):
+            raise ScenarioError("node positions must be finite")
         h = np.asarray(self.h, dtype=float)
         if h.ndim == 0:
             full = np.full((n + 1, n + 1), float(h))
@@ -104,14 +106,16 @@ class Scenario:
         off = ~np.eye(n + 1, dtype=bool)
         if not np.all(h[off] > 0) or not np.all(np.isfinite(h)):
             raise ScenarioError("off-diagonal channel gains h_ij must be positive and finite")
-        if not self.alpha >= 2:
-            raise ScenarioError(f"path-loss exponent alpha must be >= 2, got {self.alpha}")
-        if not self.sigma2 > 0:
-            raise ScenarioError(f"noise power sigma2 must be > 0, got {self.sigma2}")
-        if not self.I_d > 0:
-            raise ScenarioError(f"update size I_d must be > 0, got {self.I_d}")
-        if self.c_a < 0:
-            raise ScenarioError(f"relay fee c_a must be >= 0, got {self.c_a}")
+        if not (self.alpha >= 2 and math.isfinite(self.alpha)):
+            raise ScenarioError(
+                f"path-loss exponent alpha must be >= 2 and finite, got {self.alpha}"
+            )
+        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
+            raise ScenarioError(f"noise power sigma2 must be > 0 and finite, got {self.sigma2}")
+        if not (self.I_d > 0 and math.isfinite(self.I_d)):
+            raise ScenarioError(f"update size I_d must be > 0 and finite, got {self.I_d}")
+        if not (self.c_a >= 0 and math.isfinite(self.c_a)):
+            raise ScenarioError(f"relay fee c_a must be >= 0 and finite, got {self.c_a}")
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")

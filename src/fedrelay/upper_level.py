@@ -39,14 +39,10 @@ class PenaltyConfig:
     """Exterior-penalty settings.
 
     m_schedule: strictly increasing positive penalty coefficients.
-    hinge: penalize only violations (squared); the False setting keeps
-        the raw signed slack form of the connection and deadline terms,
-        which rewards slack and exists for comparison runs only.
     eps_feas: slack allowed when declaring a constraint satisfied.
     """
 
     m_schedule: tuple[float, ...] = DEFAULT_M_SCHEDULE
-    hinge: bool = True
     eps_feas: float = 1e-9
 
     def __post_init__(self):
@@ -189,14 +185,12 @@ def penalty_rho(
     demand: np.ndarray,
     rates: np.ndarray,
     scen: Scenario,
-    hinge: bool = True,
 ) -> float:
     """Constraint penalty for device i; 0 exactly when all constraints hold.
 
     Terms: own out-degree, own self-loop, global chain-termination
-    defect, global access-point connection, own arrival deadline. Under
-    hinge semantics the last two penalize violations squared; the
-    non-hinge form keeps them as raw signed slacks.
+    defect, global access-point connection, own arrival deadline. The
+    last two penalize violations only, squared.
     """
     I = np.asarray(I)
     n, ap = scen.n_devices, scen.ap
@@ -205,19 +199,8 @@ def penalty_rho(
     rho -= float(I[i, i]) ** 2
     rho -= routing.reach_defect(I)
     ap_links = float(I[:n, ap].sum())
-    if hinge:
-        rho -= max(0.0, 1.0 - ap_links) ** 2
-        rho -= max(0.0, _own_timing_violation(i, I, demand, rates, scen)) ** 2
-    else:
-        rho += ap_links - 1.0
-        T_s = routing.processing_times(demand, scen)
-        inflow = float(I[:n, i].sum())
-        rho += (
-            float(I[i, :n] @ T_s)
-            - T_s[i]
-            - scen.devices[i].T_a * inflow
-            - scen.I_d / float(rates[i])
-        )
+    rho -= max(0.0, 1.0 - ap_links) ** 2
+    rho -= max(0.0, _own_timing_violation(i, I, demand, rates, scen)) ** 2
     return rho
 
 
@@ -241,7 +224,6 @@ def penalized_profit(
     profile: StrategyProfile,
     M: float,
     scen: Scenario,
-    hinge: bool = True,
     H: np.ndarray | None = None,
 ) -> float:
     """Reduced profit plus M times the constraint penalty."""
@@ -250,17 +232,23 @@ def penalized_profit(
     if H is None:
         H = build_channel_matrix(scen)
     demand = lower_level.best_response_demand(profile.prices, scen)
-    value, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M, H, hinge)
+    value, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M, H)
     return value
 
 
-def _value(i, prices, targets, powers, demand, scen, M, H, hinge) -> tuple[float, float]:
-    """Penalized profit of device i at an explicit demand iterate."""
+def _value(i, prices, targets, powers, demand, scen, M, H) -> tuple[float, float]:
+    """Penalized profit of device i at an explicit demand iterate.
+
+    Matrix form: rebuilds the power and indicator matrices, every rate
+    and the boolean reachability power. The certificate in
+    `unilateral_gains` scores with it, independently of the O(1)
+    candidate evaluation in `relay_power_best_response`.
+    """
     P = routing.power_matrix(targets, powers, scen.n_nodes)
     I = routing.indicator_from_powers(P)
     rates = radio.rates_from_matrix(P, H, scen)
     profit = _profit_terms(i, prices, powers, demand, rates, I, scen)
-    rho = penalty_rho(i, I, demand, rates, scen, hinge)
+    rho = penalty_rho(i, I, demand, rates, scen)
     return profit + M * rho, rho
 
 
@@ -292,6 +280,110 @@ def price_best_response(i: int, scen: Scenario) -> float:
     return min(max(0.5 * (lo + hi), q_lo), q_hi)
 
 
+# Where a device's forwarding chain ends once device i's own link is cut.
+_ENDS_AT_AP, _ENDS_AT_I, _ENDS_IN_CYCLE = 0, 1, 2
+
+
+def _chain_ends(targets: list[int], i: int, ap: int) -> list[int]:
+    """Label each device by where its forwarding chain ends when device i
+    is a terminal: the access point, device i, or a cycle avoiding i.
+    Device i itself is labelled _ENDS_AT_I."""
+    n = len(targets)
+    walking = -1  # label of the nodes on the walk in progress
+    ends: list[int | None] = [None] * n
+    ends[i] = _ENDS_AT_I
+    for k in range(n):
+        path = []
+        node = k
+        while node != ap and ends[node] is None:
+            ends[node] = walking
+            path.append(node)
+            node = targets[node]
+        end = _ENDS_AT_AP if node == ap else ends[node]
+        if end == walking:
+            end = _ENDS_IN_CYCLE
+        for m in path:
+            ends[m] = end
+    return ends
+
+
+class _RelayContext:
+    """Everything device i's penalized profit needs from the others, who
+    are held fixed; built once per best response, after which a candidate
+    link (target, power) costs O(1) scalar arithmetic.
+
+    Every other device must transmit with positive power, so every row
+    of the indicator is single-link. The chain-termination defect is
+    then twice the number of devices whose chain never reaches the
+    access point, and device i's link decides only whether i and the
+    devices whose chains end at i join them.
+    """
+
+    def __init__(
+        self, i: int, profile: StrategyProfile, demand: np.ndarray, scen: Scenario, H: np.ndarray
+    ):
+        n, ap = scen.n_devices, scen.ap
+        targets = profile.targets.tolist()
+        powers = profile.powers.tolist()
+        if not all(powers[k] > 0 for k in range(n) if k != i):
+            raise ValueError(
+                f"best response of device {i} needs every other device to transmit "
+                "with positive power"
+            )
+        self.i, self.scen, self.H = i, scen, H
+        self.device = d = scen.devices[i]
+        self.T_s = routing.processing_times(demand, scen)
+        # co-target received power per node, summed in ascending device order
+        self.interference = [0.0] * scen.n_nodes
+        for k in range(n):
+            if k != i:
+                self.interference[targets[k]] += H[k, targets[k]] * powers[k]
+        self.inflow = sum(1 for k in range(n) if k != i and targets[k] == i)
+        self.ap_links = sum(1 for k in range(n) if k != i and targets[k] == ap)
+        self.ends = _chain_ends(targets, i, ap)
+        self.stranded = self.ends.count(_ENDS_IN_CYCLE)
+        self.through_i = self.ends.count(_ENDS_AT_I) - 1
+        self.revenue = profile.prices[i] * demand[i]
+        self.processing = d.c_p * demand[i]
+
+    def deadline_power(self, j: int) -> float:
+        """Minimal power meeting the arrival deadline at relay j against
+        the current co-target interference; p_max when unmeetable."""
+        i, d, scen = self.i, self.device, self.scen
+        slack = self.T_s[j] - self.T_s[i] - d.T_a * self.inflow
+        if slack > 0:
+            try:
+                rate = scen.I_d / slack * (1.0 + _TIMING_SAFETY)
+                return radio.min_power_for_rate(i, j, rate, self.interference[j], self.H, scen)
+            except radio.PowerLimitError:
+                pass
+        return d.p_max
+
+    def value(self, j: int, p: float, M: float) -> tuple[float, float]:
+        """Penalized profit and penalty of device i on link (j, p), p > 0:
+        `_value` of the profile with that link substituted."""
+        i, d, scen = self.i, self.device, self.scen
+        direct = j == scen.ap
+        rate = d.w * math.log2(1.0 + self.H[i, j] * p / (self.interference[j] + scen.sigma2))
+        if not rate > 0:
+            raise ValueError(f"device {i} transmits with non-positive rate {rate}")
+        energy = d.c_t * (scen.I_d / rate) * p
+        relay_fee = scen.c_a * (0.0 if direct else 1.0)
+        profit = float(
+            self.revenue - energy - self.processing + scen.c_a * self.inflow - relay_fee
+        )
+        stranded = self.stranded
+        late = 0.0
+        if not direct:
+            if self.ends[j] != _ENDS_AT_AP:
+                stranded += 1 + self.through_i
+            late = float(self.T_s[i] + d.T_a * self.inflow + scen.I_d / rate - self.T_s[j])
+        rho = -2.0 * stranded
+        rho -= max(0.0, 1.0 - (self.ap_links + direct)) ** 2
+        rho -= max(0.0, late) ** 2
+        return profit + M * rho, rho
+
+
 def relay_power_best_response(
     i: int,
     profile: StrategyProfile,
@@ -299,55 +391,32 @@ def relay_power_best_response(
     scen: Scenario,
     M: float,
     H: np.ndarray | None = None,
-    hinge: bool = True,
     power_grid: int = 50,
 ) -> tuple[int, float]:
     """Best (target, power) for device i with everyone else held fixed.
 
     Device targets get the minimal power meeting the arrival deadline
     against the current co-target interference (power bound when the
-    deadline is unmeetable); the direct link is searched over an
-    ascending power grid, where the energy-minimal point wins. Ranking
-    is by penalized profit; ties keep the lowest device target, with the
-    direct link ordered last.
+    deadline is unmeetable). The direct link gets the power floor
+    p_max / power_grid: there the energy cost c_t * I_d * p / rate(p)
+    strictly increases in p and nothing else in the objective depends
+    on p, so any higher power is dominated. Ranking is by penalized
+    profit; ties keep the lowest device target, with the direct link
+    ordered last. Every other device must transmit with positive power.
     """
     if H is None:
         H = build_channel_matrix(scen)
-    n, ap = scen.n_devices, scen.ap
-    d = scen.devices[i]
-    T_s = routing.processing_times(demand, scen)
-    others = [k for k in range(n) if k != i]
-    inflow_i = sum(1 for k in others if profile.targets[k] == i)
+    ctx = _RelayContext(i, profile, demand, scen, H)
+    candidates = [(j, ctx.deadline_power(j)) for j in range(scen.n_devices) if j != i]
+    candidates.append((scen.ap, scen.devices[i].p_max / power_grid))
 
-    candidates: list[tuple[int, float]] = []
-    for j in others:
-        interference = sum(
-            H[k, j] * profile.powers[k] for k in others if profile.targets[k] == j
-        )
-        slack = T_s[j] - T_s[i] - d.T_a * inflow_i
-        if slack > 0:
-            try:
-                p = radio.min_power_for_rate(
-                    i, j, scen.I_d / slack * (1.0 + _TIMING_SAFETY), interference, H, scen
-                )
-            except radio.PowerLimitError:
-                p = d.p_max
-        else:
-            p = d.p_max
-        candidates.append((j, p))
-    for k in range(1, power_grid + 1):
-        candidates.append((ap, d.p_max * k / power_grid))
-
-    targets = profile.targets.copy()
-    powers = profile.powers.copy()
     best: tuple[int, float] | None = None
-    best_val = -np.inf
+    best_val = -math.inf
     any_feasible = False
     for j, p in candidates:
         if p <= 0:
             continue
-        targets[i], powers[i] = j, p
-        val, rho = _value(i, profile.prices, targets, powers, demand, scen, M, H, hinge)
+        val, rho = ctx.value(j, p, M)
         any_feasible = any_feasible or rho == 0.0
         if val > best_val:
             best, best_val = (j, p), val
@@ -375,7 +444,6 @@ def unilateral_gains(
     scen: Scenario,
     M: float,
     H: np.ndarray | None = None,
-    hinge: bool = True,
     power_grid: int = 50,
 ) -> np.ndarray:
     """Best-response improvement available to each device at a profile.
@@ -390,23 +458,21 @@ def unilateral_gains(
     gains = np.zeros(n)
     for i in range(n):
         base, _ = _value(
-            i, profile.prices, profile.targets, profile.powers, demand, scen, M, H, hinge
+            i, profile.prices, profile.targets, profile.powers, demand, scen, M, H
         )
         q_alt = price_best_response(i, scen)
         prices_alt = profile.prices.copy()
         prices_alt[i] = q_alt
         demand_alt = lower_level.best_response_demand(prices_alt, scen)
         val_q, _ = _value(
-            i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M, H, hinge
+            i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M, H
         )
-        j_alt, p_alt = relay_power_best_response(
-            i, profile, demand, scen, M, H, hinge, power_grid
-        )
+        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M, H, power_grid)
         targets_alt = profile.targets.copy()
         powers_alt = profile.powers.copy()
         targets_alt[i], powers_alt[i] = j_alt, p_alt
         val_jp, _ = _value(
-            i, profile.prices, targets_alt, powers_alt, demand, scen, M, H, hinge
+            i, profile.prices, targets_alt, powers_alt, demand, scen, M, H
         )
         gains[i] = max(val_q, val_jp) - base
     return gains
@@ -426,14 +492,20 @@ def best_response_dynamics(
     Each round updates every device's price (closed form) and then its
     (target, power) link; the demand iterate refreshes after each full
     round. The schedule re-converges the dynamics at each penalty
-    coefficient. Non-convergence is reported, never raised.
+    coefficient. Non-convergence is reported, never raised. A given
+    `init` must have every power positive.
     """
     cfg = cfg or PenaltyConfig()
     if order not in ("forward", "reverse"):
         raise ValueError(f"order must be 'forward' or 'reverse', got {order!r}")
+    if init is not None and not np.all(init.powers > 0):
+        raise ValueError("every power of the initial profile must be positive")
     H = build_channel_matrix(scen)
     n = scen.n_devices
-    profile = init.copy() if init is not None else default_init(scen, power_grid)
+    start = default_init(scen, power_grid)
+    # the price best response depends on (i, scen) only
+    price_br = start.prices.copy()
+    profile = init.copy() if init is not None else start
     demand = lower_level.best_response_demand(profile.prices, scen)
     device_order = list(range(n)) if order == "forward" else list(reversed(range(n)))
 
@@ -445,12 +517,12 @@ def best_response_dynamics(
             rounds += 1
             changed = False
             for i in device_order:
-                q_new = price_best_response(i, scen)
+                q_new = price_br[i]
                 if abs(q_new - profile.prices[i]) > _Q_TOL:
                     changed = True
                 profile.prices[i] = q_new
                 j_new, p_new = relay_power_best_response(
-                    i, profile, demand, scen, M, H, cfg.hinge, power_grid
+                    i, profile, demand, scen, M, H, power_grid
                 )
                 if j_new != profile.targets[i] or abs(p_new - profile.powers[i]) > _P_TOL:
                     changed = True
@@ -465,7 +537,7 @@ def best_response_dynamics(
 
     M_final = cfg.m_schedule[-1]
     gain = float(np.max(np.maximum(unilateral_gains(
-        profile, scen, M_final, H, cfg.hinge, power_grid
+        profile, scen, M_final, H, power_grid
     ), 0.0), initial=0.0))
     rates = radio.transmission_rates(profile.targets, profile.powers, H, scen)
     profits = np.array([

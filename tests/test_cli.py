@@ -44,6 +44,39 @@ def test_validate_rejects_zero_noise(tmp_path, capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
+def _nan_position(data):
+    data["positions"][0][1] = float("nan")
+
+
+def _infinite_update_size(data):
+    data["global"]["I_d"] = float("inf")
+
+
+def _nan_relay_fee(data):
+    data["global"]["c_a"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_nan_position, "positions"), (_infinite_update_size, "I_d"), (_nan_relay_fee, "c_a")],
+)
+def test_solve_rejects_non_finite_scenario(tmp_path, capsys, corrupt, message):
+    data = scenario_to_dict(paper9_scenario(3))
+    corrupt(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and message in err
+
+
+def test_solve_rejects_power_grid_below_one(tmp_path, capsys):
+    code = main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(tmp_path / "run"),
+                 "--power-grid", "0"])
+    assert code == 2
+    assert "--power-grid" in capsys.readouterr().err
+
+
 def test_validate_requires_exactly_one_source(capsys):
     assert main(["validate", "--preset", "paper9", "--random", "4", "--seed", "1"]) == 2
     assert main(["validate", "--preset", "paper9"]) == 2  # missing seed

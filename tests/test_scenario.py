@@ -166,6 +166,10 @@ def test_invalid_parameters_named():
     bad = {**good, "global": {**good["global"], "alpha": 1.5}}
     with pytest.raises(ScenarioError, match="alpha"):
         scenario_from_dict(bad)
+    for key in ("alpha", "sigma2"):
+        bad = {**good, "global": {**good["global"], key: math.inf}}
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(bad)
     with pytest.raises(ScenarioError, match="malformed"):
         scenario_from_dict({"devices": []})
 

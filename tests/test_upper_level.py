@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from fedrelay import routing
 from fedrelay.lower_level import best_response_demand, price_floor
-from fedrelay.radio import transmission_rates
-from fedrelay.scenario import build_channel_matrix, random_scenario
+from fedrelay.radio import PowerLimitError, min_power_for_rate, transmission_rates
+from fedrelay.scenario import RandomSpec, build_channel_matrix, random_scenario
 from fedrelay.upper_level import (
+    DEFAULT_M_SCHEDULE,
     EquilibriumReport,
     PenaltyConfig,
     StrategyProfile,
@@ -21,10 +23,14 @@ from fedrelay.upper_level import (
     relay_power_best_response,
     solve_stackelberg,
     unilateral_gains,
+    _RelayContext,
+    _value,
 )
 from support import grid_argmax_price, make_device, make_scenario, profit_oracle
 
 M_FINAL = PenaltyConfig().m_schedule[-1]
+# slow, heterogeneous processing rates open arrival windows, so relays pay
+RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 
 
 def line_positions(n):
@@ -179,11 +185,9 @@ def test_penalty_literal_form_rewards_slack():
     I = routing.plan_to_indicator(targets, 3)
     demand = np.array([0.5, 0.5])
     rates = np.array([1.0, 1.0])
-    # both direct: structural terms vanish; the literal form keeps the raw
-    # connection surplus (2 - 1) and the raw deadline slack (here negative)
-    want = 1.0 + (0.0 - 0.5 - 0.0 - 0.1)
-    assert penalty_rho(0, I, demand, rates, scen, hinge=False) == pytest.approx(want, rel=1e-12)
-    assert penalty_rho(0, I, demand, rates, scen, hinge=True) == 0.0
+    # both direct: structural terms vanish, and the connection surplus
+    # (2 - 1) earns nothing, since only violations are penalized
+    assert penalty_rho(0, I, demand, rates, scen) == 0.0
 
 
 def sinr_one_profile():
@@ -346,6 +350,149 @@ def test_relay_br_reports_no_feasible_action(caplog):
     assert target == 3  # least-penalized: keep its own link clean
 
 
+def random_profile(rng, scen):
+    """Random prices and positive powers; uniform targets, so cycles, tails
+    into cycles and relay chains all occur."""
+    n = scen.n_devices
+    targets = np.array([rng.choice([t for t in range(n + 1) if t != i]) for i in range(n)])
+    powers = rng.uniform(1e-3, 1.0, size=n) * scen.param("p_max")
+    prices = rng.uniform(0.1, 0.9, size=n) * scen.param("q_max")
+    return StrategyProfile(prices, targets, powers)
+
+
+def chain_fails(targets, k, n):
+    node = k
+    for _ in range(n):
+        node = int(targets[node])
+        if node == n:
+            return False
+    return True
+
+
+def on_cycle(targets, k, n):
+    node = k
+    for _ in range(n):
+        node = int(targets[node])
+        if node == n:
+            return False
+        if node == k:
+            return True
+    return False
+
+
+def test_relay_context_matches_matrix_value():
+    rng = np.random.default_rng(1107)
+    seen = dict.fromkeys(
+        ("cycle_through_i", "cycle_elsewhere", "tail_into_cycle", "relay_no_slack", "relay_slack",
+         "late"), 0
+    )
+    for trial in range(150):
+        n = int(rng.integers(2, 8))
+        spec = RELAY_SPEC if trial % 2 else RandomSpec()
+        scen = random_scenario(n, seed=int(rng.integers(1 << 31)), spec=spec)
+        H = build_channel_matrix(scen)
+        profile = random_profile(rng, scen)
+        demand = best_response_demand(profile.prices, scen)
+        T_s = routing.processing_times(demand, scen)
+        i = int(rng.integers(n))
+        inflow = sum(1 for k in range(n) if k != i and profile.targets[k] == i)
+        ctx = _RelayContext(i, profile, demand, scen, H)
+        p_max = scen.devices[i].p_max
+        for j in [t for t in range(n + 1) if t != i]:
+            first = p_max / 50 if j == n else ctx.deadline_power(j)
+            for p in (first, rng.uniform(1e-3, 1.0) * p_max):
+                targets, powers = profile.targets.copy(), profile.powers.copy()
+                targets[i], powers[i] = j, p
+                fails = [k for k in range(n) if chain_fails(targets, k, n)]
+                seen["cycle_through_i"] += i in fails and on_cycle(targets, i, n)
+                seen["cycle_elsewhere"] += bool(fails) and i not in fails
+                seen["tail_into_cycle"] += any(not on_cycle(targets, k, n) for k in fails)
+                if j < n:
+                    slack = T_s[j] - T_s[i] - scen.devices[i].T_a * inflow
+                    seen["relay_slack" if slack > 0 else "relay_no_slack"] += 1
+                rates = transmission_rates(targets, powers, H, scen)
+                I = routing.plan_to_indicator(targets, n + 1)
+                late = routing.timing_violations(I, demand, rates, scen)[i] > 0
+                seen["late"] += late
+                for M in DEFAULT_M_SCHEDULE:
+                    val, rho = ctx.value(j, p, M)
+                    want_val, want_rho = _value(
+                        i, profile.prices, targets, powers, demand, scen, M, H
+                    )
+                    if late:  # the deadline term rests on a rate summed in another order
+                        assert math.isclose(rho, want_rho, rel_tol=1e-12, abs_tol=0.0)
+                        assert rho < 0.0
+                    else:
+                        assert rho == want_rho
+                    assert math.isclose(val, want_val, rel_tol=1e-12, abs_tol=0.0)
+    assert min(seen.values()) >= 20, seen
+
+
+def grid_candidates(i, profile, demand, scen, H, power_grid=50):
+    """The candidate set before the direct link collapsed to its power
+    floor: every device target at its deadline-matching power (p_max when
+    unmeetable), then the full ascending direct-link power grid."""
+    n, ap = scen.n_devices, scen.ap
+    d = scen.devices[i]
+    T_s = routing.processing_times(demand, scen)
+    others = [k for k in range(n) if k != i]
+    inflow = sum(1 for k in others if profile.targets[k] == i)
+    candidates = []
+    for j in others:
+        interference = sum(
+            H[k, j] * profile.powers[k] for k in others if profile.targets[k] == j
+        )
+        slack = T_s[j] - T_s[i] - d.T_a * inflow
+        p = d.p_max
+        if slack > 0:
+            try:
+                p = min_power_for_rate(
+                    i, j, scen.I_d / slack * (1.0 + 1e-9), interference, H, scen
+                )
+            except PowerLimitError:
+                pass
+        candidates.append((j, p))
+    candidates += [(ap, d.p_max * k / power_grid) for k in range(1, power_grid + 1)]
+    return candidates
+
+
+def test_relay_br_matches_grid_candidate_oracle():
+    rng = np.random.default_rng(2203)
+    outcomes = {"relay": 0, "direct": 0}
+    for trial in range(40):
+        n = int(rng.integers(2, 9))
+        spec = RELAY_SPEC if trial % 2 else RandomSpec()
+        scen = random_scenario(n, seed=int(rng.integers(1 << 31)), spec=spec)
+        H = build_channel_matrix(scen)
+        profile = default_init(scen) if trial % 4 == 0 else random_profile(rng, scen)
+        demand = best_response_demand(profile.prices, scen)
+        for i in range(n):
+            M = float(rng.choice(DEFAULT_M_SCHEDULE))
+            best, best_val = None, -np.inf
+            for j, p in grid_candidates(i, profile, demand, scen, H):
+                if p <= 0:
+                    continue
+                targets, powers = profile.targets.copy(), profile.powers.copy()
+                targets[i], powers[i] = j, p
+                val, _ = _value(i, profile.prices, targets, powers, demand, scen, M, H)
+                if val > best_val:
+                    best, best_val = (j, p), val
+            got = relay_power_best_response(i, profile, demand, scen, M, H)
+            assert got == best
+            outcomes["direct" if got[0] == n else "relay"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_relay_br_requires_positive_powers():
+    scen = relayable_scenario()
+    profile = StrategyProfile(np.array([50.0, 5.0]), np.array([2, 2]), np.array([1.0, 0.0]))
+    demand = best_response_demand(profile.prices, scen)
+    with pytest.raises(ValueError, match="positive power"):
+        relay_power_best_response(0, profile, demand, scen, M_FINAL)
+    with pytest.raises(ValueError, match="positive"):
+        best_response_dynamics(scen, init=profile)
+
+
 # ------------------------------------------------------------- dynamics
 
 
@@ -412,6 +559,49 @@ def test_dynamics_on_benchmark(paper9_scen, paper9_report):
         solo[i] = rep.powers[i]
         solo_rate = transmission_rates(rep.targets, solo, H, paper9_scen)[i]
         assert rep.rates[i] < solo_rate
+
+
+# Equilibria recorded before the O(1) candidate evaluation replaced the
+# matrix-form scoring of every candidate; the dynamics must not move.
+PINNED = {
+    "paper9_seed7": (
+        [9] * 9, 15,
+        [54.97961491340582, 30.87560728130037, 59.764025468602206, 46.073780762551294,
+         42.61906726760165, 45.81927813840596, 60.44429053948483, 47.83166643329256,
+         55.799674674373875],
+        [0.2] * 9,
+    ),
+    "random6_seed1": (
+        [6] * 6, 10,
+        [50.81205534798074, 52.24545136845467, 42.40612823152861, 41.609514404056654,
+         55.55928180484655, 51.295942076632286],
+        [0.2] * 6,
+    ),
+    "relay9_seed1_Id0.1": (
+        [2, 2, 9, 2, 9, 9, 2, 2, 9], 8,
+        [52.01490651291965, 52.64631811163888, 47.84089954396671, 33.737122406980134,
+         53.35687970994425, 64.2982239646588, 41.421236889346645, 36.5455422022181,
+         59.156107912890576],
+        [0.4962454920964919, 0.47380124958700354, 0.2, 0.4348521146347665, 0.2, 0.2,
+         0.20926252145704272, 0.001540587643561292, 0.2],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_equilibrium_regression(name, paper9_report):
+    if name == "paper9_seed7":
+        rep = paper9_report
+    elif name == "random6_seed1":
+        rep = solve_stackelberg(random_scenario(6, seed=1), order_check=False)
+    else:
+        scen = dataclasses.replace(random_scenario(9, seed=1, spec=RELAY_SPEC), I_d=0.1)
+        rep = solve_stackelberg(scen, max_iter=1, order_check=False)
+    targets, iterations, prices, powers = PINNED[name]
+    assert rep.targets.tolist() == targets
+    assert rep.iterations == iterations
+    np.testing.assert_allclose(rep.prices, prices, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rep.powers, powers, rtol=1e-12, atol=0)
 
 
 def test_dynamics_backward_consistency_and_rationality(paper9_scen, paper9_report):
