@@ -18,9 +18,9 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,6 +75,14 @@ class RunConfig:
             raise ScenarioError("--seed is required with --preset and --random")
         if self.power_grid < 1:
             raise ScenarioError(f"--power-grid must be >= 1, got {self.power_grid}")
+        if self.max_iter < 1:
+            raise ScenarioError(f"--max-iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.eps_nash) and self.eps_nash >= 0):
+            raise ScenarioError(f"--eps-nash must be finite and >= 0, got {self.eps_nash}")
+        try:
+            self.penalty()
+        except ValueError as exc:
+            raise ScenarioError(f"--m-schedule: {exc}") from None
 
     def scenario(self) -> Scenario:
         if self.scenario_path is not None:
@@ -204,7 +212,10 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
     if routing_path is not None:
         with open(routing_path) as fh:
             adj = json.load(fh)
-        targets = routing.adjacency_to_targets(adj, scen.n_devices)
+        try:
+            targets = routing.adjacency_to_targets(adj, scen.n_devices)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"routing {routing_path}: {type(exc).__name__}: {exc}") from None
         I = routing.plan_to_indicator(targets, scen.n_nodes)
         checks = {
             "single_link": routing.check_single_link(I),
@@ -217,17 +228,21 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
     if profile_path is not None:
         with open(profile_path) as fh:
             raw = json.load(fh)
-        profile = StrategyProfile(
-            np.asarray(raw["prices"], dtype=float),
-            np.asarray(raw["targets"], dtype=int),
-            np.asarray(raw["powers"], dtype=float),
-        )
-        H = build_channel_matrix(scen)
-        demand = lower_level.best_response_demand(profile.prices, scen)
-        rates = radio.transmission_rates(profile.targets, profile.powers, H, scen)
-        feas, violations = routing.feasible(
-            profile.indicator(scen.n_nodes), demand, rates, scen, PenaltyConfig().eps_feas
-        )
+        n = scen.n_devices
+        try:
+            profile = StrategyProfile(raw["prices"], raw["targets"], raw["powers"])
+            if len(profile.prices) != n:
+                raise ValueError(f"{len(profile.prices)} devices, the scenario has {n}")
+            if np.any((profile.targets < 0) | (profile.targets > n)):
+                raise ValueError(f"targets must lie in 0..{n}")
+            demand = lower_level.best_response_demand(profile.prices, scen)
+            rates = radio.transmission_rates(
+                profile.targets, profile.powers, build_channel_matrix(scen), scen
+            )
+            I = profile.indicator(scen.n_nodes)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
+        feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig().eps_feas)
         print(f"profile feasible: {feas}")
         for v in violations:
             print(f"  violation: {v}")
@@ -270,19 +285,15 @@ def sweep_rows(scen: Scenario, param: str, value: float, cfg: RunConfig) -> list
     ]
 
 
-def cmd_sweep(cfg: RunConfig, param: str, values: list[float], jobs: int) -> int:
+def cmd_sweep(cfg: RunConfig, param: str, values: tuple[float, ...]) -> int:
     if param not in SWEEPABLE:
         print(f"unsupported sweep parameter {param!r}; choose from {SWEEPABLE}", file=sys.stderr)
         return 2
     scen = cfg.scenario()
     header = ("param", "value", "converged") + EQUILIBRIUM_COLUMNS
     rows: list[tuple] = []
-    if values:
-        workers = max(1, min(jobs, len(values)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(sweep_rows, scen, param, v, cfg) for v in values]
-            for fut in futures:
-                rows.extend(fut.result())
+    for value in values:
+        rows.extend(sweep_rows(scen, param, value, cfg))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "sweep.csv", _csv_text(header, rows))
@@ -307,10 +318,18 @@ def _add_common(parser: argparse.ArgumentParser, with_out: bool) -> None:
         parser.add_argument("--format", choices=("csv", "json", "table"), default="table")
 
 
+def _floats(text: str, flag: str) -> tuple[float, ...]:
+    """Comma-separated numbers; empty items are skipped."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ScenarioError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _run_config(args: argparse.Namespace, with_out: bool) -> RunConfig:
     m_schedule = PenaltyConfig.m_schedule
     if args.m_schedule:
-        m_schedule = tuple(float(x) for x in args.m_schedule.split(","))
+        m_schedule = _floats(args.m_schedule, "--m-schedule")
     return RunConfig(
         scenario_path=args.scenario,
         preset=args.preset,
@@ -345,7 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_sweep, with_out=True)
     p_sweep.add_argument("--param", required=True, help=f"one of {SWEEPABLE}")
     p_sweep.add_argument("--values", required=True, help="comma-separated grid (may be empty)")
-    p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument(
+        "--jobs", type=int, metavar="N",
+        help="ignored; grid points are solved one after another",
+    )
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
@@ -361,8 +383,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate(cfg, args.routing, args.profile)
         if args.command == "solve":
             return cmd_solve(cfg)
-        values = [float(x) for x in args.values.split(",") if x.strip()]
-        return cmd_sweep(cfg, args.param, values, args.jobs)
+        return cmd_sweep(cfg, args.param, _floats(args.values, "--values"))
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -73,13 +73,9 @@ def transmission_rate(
 def transmission_energy_cost(
     i: int, powers: np.ndarray, rates: np.ndarray, scen: Scenario
 ) -> float:
-    """Energy cost of shipping one update: c_t * (I_d / rate) * total power.
-
-    `powers` is either a per-device power vector or a full power matrix
-    (the device's row is summed).
-    """
-    powers = np.asarray(powers, dtype=float)
-    p = float(powers[i].sum()) if powers.ndim == 2 else float(powers[i])
+    """Energy cost of shipping one update: c_t * (I_d / rate) * power,
+    with `powers` the per-device power vector."""
+    p = float(powers[i])
     if p == 0.0:
         return 0.0
     r = float(rates[i])

@@ -37,19 +37,23 @@ def plan_to_indicator(targets: np.ndarray, n_nodes: int) -> np.ndarray:
     return indicator_from_powers(power_matrix(targets, np.ones(len(targets)), n_nodes))
 
 
-def check_single_link(I: np.ndarray) -> bool:
-    """Every device row has exactly one outgoing link and no self-loop."""
+def link_faults(I: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Out-degree and diagonal entry of each device row, and the access-
+    point shortfall: 1 minus the number of direct links to it."""
     I = np.asarray(I)
     n = I.shape[0] - 1
-    rows = I[:n]
-    return bool(np.all(rows.sum(axis=1) == 1) and np.all(np.diagonal(I)[:n] == 0))
+    return I[:n].sum(axis=1), np.diagonal(I)[:n], 1 - int(I[:n, n].sum())
+
+
+def check_single_link(I: np.ndarray) -> bool:
+    """Every device row has exactly one outgoing link and no self-loop."""
+    degrees, loops, _ = link_faults(I)
+    return bool(np.all(degrees == 1) and np.all(loops == 0))
 
 
 def check_ap_connected(I: np.ndarray) -> bool:
     """At least one device transmits directly to the access point."""
-    I = np.asarray(I)
-    n = I.shape[0] - 1
-    return bool(I[:n, n].sum() >= 1)
+    return link_faults(I)[2] <= 0
 
 
 def _absorbing(I: np.ndarray) -> np.ndarray:
@@ -79,26 +83,23 @@ def all_at_ap_matrix(n_nodes: int) -> np.ndarray:
     return M
 
 
-def check_acyclic_reach(I: np.ndarray) -> bool:
-    """True iff every forwarding chain ends at the access point.
+def reach_defect(I: np.ndarray) -> float:
+    """Squared Frobenius distance of the reachability power from the
+    all-chains-at-access-point matrix; 0 iff every chain terminates.
 
-    Computed as the boolean n-th power of the indicator with the
+    The power is the boolean n-th power of the indicator with the
     absorbing access-point convention; n single-link devices can form a
     chain of depth at most n, so exponent n covers every case.
     """
     I = np.asarray(I)
     n = I.shape[0] - 1
     reach = bool_matrix_power(_absorbing(I), n)
-    return bool(np.array_equal(reach, all_at_ap_matrix(I.shape[0])))
-
-
-def reach_defect(I: np.ndarray) -> float:
-    """Squared Frobenius distance of the reachability power from the
-    all-chains-at-access-point matrix; 0 iff check_acyclic_reach."""
-    I = np.asarray(I)
-    n = I.shape[0] - 1
-    reach = bool_matrix_power(_absorbing(I), n)
     return float(((reach - all_at_ap_matrix(I.shape[0])) ** 2).sum())
+
+
+def check_acyclic_reach(I: np.ndarray) -> bool:
+    """True iff every forwarding chain ends at the access point."""
+    return reach_defect(I) == 0.0
 
 
 def processing_times(s: np.ndarray, scen: Scenario) -> np.ndarray:
@@ -106,38 +107,38 @@ def processing_times(s: np.ndarray, scen: Scenario) -> np.ndarray:
     return np.asarray(s, dtype=float) / scen.param("r_p")
 
 
-def timing_violations(I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario) -> np.ndarray:
-    """Arrival-deadline violation per device (0 when met or transmitting direct).
+def timing_violation(i: int, I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario) -> float:
+    """Arrival-deadline violation of device i at demand s (0 when met or
+    transmitting direct).
 
     A device forwarding through relay j must finish computing, averaging
     its received updates, and transferring before j finishes computing:
 
         T_s[i] + T_a[i] * inflow(i) + I_d / rates[i] <= T_s[j]
 
-    Only devices whose single outgoing link points at another device are
-    subject to the deadline. Rows that are not single-link (zero or
-    multiple outgoing links) carry no timing term; they are already
-    structurally infeasible.
+    Only a device whose single outgoing link points at another device is
+    subject to the deadline. A row that is not single-link (zero or
+    multiple outgoing links) carries no timing term; it is already
+    structurally infeasible. O(n): reads row i and column i of I.
     """
-    I = np.asarray(I)
-    n = scen.n_devices
-    ap = scen.ap
+    row = I[i]
+    if row.sum() != 1 or row[scen.ap] == 1 or row[i] == 1:
+        return 0.0
+    j = int(np.argmax(row))
+    if not rates[i] > 0:
+        raise ZeroDivisionError(
+            f"device {i} forwards through a relay but has no positive transmission rate"
+        )
     T_s = processing_times(s, scen)
-    T_a = scen.param("T_a")
+    inflow = I[: scen.n_devices, i].sum()
+    return float(T_s[i] + scen.devices[i].T_a * inflow + scen.I_d / rates[i] - T_s[j])
+
+
+def timing_violations(I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario) -> np.ndarray:
+    """`timing_violation` of every device."""
+    I = np.asarray(I)
     rates = np.asarray(rates, dtype=float)
-    inflow = I[:n, :n].sum(axis=0)
-    v = np.zeros(n)
-    for i in range(n):
-        row = I[i]
-        if row.sum() != 1 or row[ap] == 1 or row[i] == 1:
-            continue
-        j = int(np.argmax(row))
-        if not rates[i] > 0:
-            raise ZeroDivisionError(
-                f"device {i} forwards through a relay but has no positive transmission rate"
-            )
-        v[i] = T_s[i] + T_a[i] * inflow[i] + scen.I_d / rates[i] - T_s[j]
-    return v
+    return np.array([timing_violation(i, I, s, rates, scen) for i in range(scen.n_devices)])
 
 
 def check_timing(I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario, tol: float = 0.0) -> np.ndarray:
@@ -154,15 +155,13 @@ def feasible(
 ) -> tuple[bool, list[dict]]:
     """All routing and deadline constraints at once, with a violation report."""
     I = np.asarray(I)
-    n = scen.n_devices
     violations: list[dict] = []
-    rows = I[:n]
-    for i in range(n):
-        if rows[i].sum() != 1:
-            violations.append({"constraint": "single_link", "device": i, "out_degree": int(rows[i].sum())})
-        if I[i, i] == 1:
+    degrees, loops, shortfall = link_faults(I)
+    for i in range(scen.n_devices):
+        if degrees[i] != 1:
+            violations.append({"constraint": "single_link", "device": i, "out_degree": int(degrees[i])})
+        if loops[i] != 0:
             violations.append({"constraint": "self_loop", "device": i})
-    shortfall = 1 - int(I[:n, scen.ap].sum())
     if shortfall > 0:
         violations.append({"constraint": "ap_connected", "shortfall": shortfall})
     defect = reach_defect(I)
@@ -172,15 +171,6 @@ def feasible(
     for i in np.nonzero(v > tol)[0]:
         violations.append({"constraint": "timing", "device": int(i), "violation": float(v[i])})
     return (not violations), violations
-
-
-def next_hops(I: np.ndarray) -> np.ndarray:
-    """Target vector of a single-link indicator."""
-    I = np.asarray(I)
-    n = I.shape[0] - 1
-    if not check_single_link(I):
-        raise ValueError("indicator is not single-link")
-    return I[:n].argmax(axis=1)
 
 
 def routing_lines(targets: np.ndarray, n_devices: int) -> list[str]:
@@ -222,5 +212,8 @@ def adjacency_to_targets(adj: dict, n_devices: int) -> np.ndarray:
         i = int(key) - 1
         if not 0 <= i < n_devices:
             raise ValueError(f"device id {key} out of range")
-        targets[i] = n_devices if value == "N_D" else int(value) - 1
+        t = n_devices if value == "N_D" else int(value) - 1
+        if not 0 <= t <= n_devices:
+            raise ValueError(f"target {value} of device {key} out of range")
+        targets[i] = t
     return targets

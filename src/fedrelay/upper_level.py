@@ -38,7 +38,7 @@ _TIMING_SAFETY = 1e-9
 class PenaltyConfig:
     """Exterior-penalty settings.
 
-    m_schedule: strictly increasing positive penalty coefficients.
+    m_schedule: strictly increasing, finite, positive penalty coefficients.
     eps_feas: slack allowed when declaring a constraint satisfied.
     """
 
@@ -48,8 +48,8 @@ class PenaltyConfig:
     def __post_init__(self):
         ms = tuple(float(m) for m in self.m_schedule)
         object.__setattr__(self, "m_schedule", ms)
-        if not ms or any(m <= 0 for m in ms):
-            raise ValueError("m_schedule must be nonempty and positive")
+        if not ms or not all(0 < m < math.inf for m in ms):
+            raise ValueError("m_schedule must be nonempty, finite and positive")
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m_schedule must be strictly increasing")
 
@@ -190,33 +190,17 @@ def penalty_rho(
 
     Terms: own out-degree, own self-loop, global chain-termination
     defect, global access-point connection, own arrival deadline. The
-    last two penalize violations only, squared.
+    last two penalize violations only, squared. Every term comes from
+    the `routing` function that `routing.feasible` reports with.
     """
     I = np.asarray(I)
-    n, ap = scen.n_devices, scen.ap
-    row = I[i]
-    rho = -float(row.sum() - 1) ** 2
-    rho -= float(I[i, i]) ** 2
+    degrees, loops, shortfall = routing.link_faults(I)
+    rho = -float(degrees[i] - 1) ** 2
+    rho -= float(loops[i]) ** 2
     rho -= routing.reach_defect(I)
-    ap_links = float(I[:n, ap].sum())
-    rho -= max(0.0, 1.0 - ap_links) ** 2
-    rho -= max(0.0, _own_timing_violation(i, I, demand, rates, scen)) ** 2
+    rho -= max(0, shortfall) ** 2
+    rho -= max(0.0, routing.timing_violation(i, I, demand, rates, scen)) ** 2
     return rho
-
-
-def _own_timing_violation(i, I, demand, rates, scen) -> float:
-    """Deadline violation of device i alone; 0 for direct transmitters
-    and for rows that are not single-link (structural terms cover those)."""
-    n, ap = scen.n_devices, scen.ap
-    row = I[i]
-    if row.sum() != 1 or row[ap] == 1 or row[i] == 1:
-        return 0.0
-    j = int(np.argmax(row))
-    if not rates[i] > 0:
-        return 0.0
-    T_s = routing.processing_times(demand, scen)
-    inflow = float(I[:n, i].sum())
-    return float(T_s[i] + scen.devices[i].T_a * inflow + scen.I_d / rates[i] - T_s[j])
 
 
 def penalized_profit(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from fedrelay.cli import main, reverify_unilateral_gain
 from fedrelay.radio import transmission_energy_cost
 from fedrelay.scenario import (
+    RandomSpec,
     paper9_scenario,
+    random_scenario,
     save_scenario,
     scenario_to_dict,
 )
@@ -161,9 +164,13 @@ def test_solve_scenario_file_relay_topology(tmp_path):
 
 
 def test_solve_nonconverged_exit_code(tmp_path):
+    # one round per penalty stage leaves this relay instance short of an
+    # equilibrium (its certificate gain is about 8.5e-4)
+    scen = dataclasses.replace(random_scenario(9, 1, RandomSpec(r_p=(5.0, 4.0))), I_d=0.1)
+    path = tmp_path / "scenario.json"
+    save_scenario(scen, path)
     out = tmp_path / "run"
-    code = main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out),
-                 "--max-iter", "0"])
+    code = main(["solve", "--scenario", str(path), "--out", str(out), "--max-iter", "1"])
     assert code == 3
     assert (out / "report.json").exists()  # artifacts written anyway
     report = json.loads((out / "report.json").read_text())
@@ -217,8 +224,6 @@ def test_sweep_update_size_monotone_energy(tmp_path):
     report = json.loads((out / "report.json").read_text())
     powers = np.asarray(report["report"]["powers"])
     rates = np.asarray(report["report"]["rates"])
-    import dataclasses
-
     last = np.zeros(scen.n_devices)
     for I_d in (0.05, 0.1, 0.2, 0.4):
         frozen = dataclasses.replace(scen, I_d=I_d)
@@ -264,3 +269,89 @@ def test_custom_m_schedule_flag(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["m_schedule"] == [100.0, 10000.0, 1000000.0]
+
+
+def test_sweep_jobs_is_ignored(tmp_path):
+    _, path = relayable_scenario_file(tmp_path)
+    args = ["--param", "I_d", "--values", "0.05,0.1,0.2,0.4"]
+    outs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out), "--jobs", jobs] + args) == 0
+        outs.append((out / "sweep.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def _write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "profile, message",
+    [
+        ({"prices": [50.0, 5.0], "powers": [1.0, 1.0]}, "targets"),
+        ({"prices": [50.0, 5.0], "targets": [2], "powers": [1.0, 1.0]}, "equal length"),
+        ({"prices": [50.0, 5.0], "targets": [0, 2], "powers": [1.0, 1.0]}, "itself"),
+        ({"prices": [50.0], "targets": [2], "powers": [1.0]}, "scenario has 2"),
+        ({"prices": [50.0, 5.0], "targets": [7, 2], "powers": [1.0, 1.0]}, "targets must lie"),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [-1.0, 1.0]}, "nonnegative"),
+    ],
+)
+def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
+    _, scen_path = relayable_scenario_file(tmp_path)
+    prof_path = _write_json(tmp_path, "profile.json", profile)
+    assert main(["validate", "--scenario", str(scen_path), "--profile", prof_path]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        ({"12": "N_D"}, "device id 12"),
+        ({"1": "12"}, "target 12"),
+        ({"1": "0"}, "target 0"),
+        ({"one": "N_D"}, "ValueError"),
+        ({"1": "two"}, "ValueError"),
+        ({"1": None}, "TypeError"),
+        (["N_D"], "AttributeError"),
+    ],
+)
+def test_validate_rejects_malformed_routing(tmp_path, capsys, adj, message):
+    path = _write_json(tmp_path, "routing.json", adj)
+    assert main(["validate", "--preset", "paper9", "--seed", "3", "--routing", path]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m-schedule", "1,abc"], "--m-schedule"),
+        (["--m-schedule", "10,1"], "strictly increasing"),
+        (["--m-schedule", "10,nan"], "finite"),
+        (["--m-schedule", "10,inf"], "finite"),
+        (["--m-schedule", ","], "nonempty"),
+        (["--max-iter", "0"], "--max-iter"),
+        (["--max-iter", "-3"], "--max-iter"),
+        (["--eps-nash", "nan"], "--eps-nash"),
+        (["--eps-nash=-1e-6"], "--eps-nash"),
+        (["--eps-nash", "inf"], "--eps-nash"),
+    ],
+)
+def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    assert main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
+    _, path = relayable_scenario_file(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                 "--param", "I_d", "--values", "0.1,abc"]) == 2
+    assert "--values" in capsys.readouterr().err
+    assert not out.exists()

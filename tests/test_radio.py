@@ -73,13 +73,6 @@ def test_energy_cost_arithmetic():
         transmission_energy_cost(0, np.array([2.0]), np.array([0.0]), scen)
 
 
-def test_energy_cost_accepts_power_matrix():
-    scen = unit_gain_scenario(c_t=1.0, I_d=1.0)
-    P = np.zeros((2, 2))
-    P[0, 1] = 2.0
-    assert transmission_energy_cost(0, P, np.array([1.0]), scen) == pytest.approx(2.0)
-
-
 def test_energy_cost_matches_recomputation(paper9_scen, paper9_report):
     rep = paper9_report
     d = paper9_scen.devices[0]

@@ -11,7 +11,6 @@ from fedrelay.routing import (
     check_timing,
     feasible,
     indicator_from_powers,
-    next_hops,
     plan_to_indicator,
     power_matrix,
     routing_adjacency,
@@ -227,14 +226,6 @@ def test_feasible_respects_tolerance():
     rates = np.array([1.0, 1.0])
     ok, _ = feasible(I, demand, rates, scen, tol=1e-9)
     assert ok
-
-
-def test_next_hops_inverts_indicator():
-    targets = table_targets()
-    I = plan_to_indicator(targets, 10)
-    assert np.array_equal(next_hops(I), targets)
-    with pytest.raises(ValueError):
-        next_hops(np.zeros((3, 3), dtype=int))
 
 
 def test_routing_lines_table_format():
