@@ -30,7 +30,6 @@ from . import lower_level, radio, routing
 from .scenario import (
     Scenario,
     ScenarioError,
-    build_channel_matrix,
     load_scenario,
     paper9_scenario,
     random_scenario,
@@ -236,9 +235,7 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             if np.any((profile.targets < 0) | (profile.targets > n)):
                 raise ValueError(f"targets must lie in 0..{n}")
             demand = lower_level.best_response_demand(profile.prices, scen)
-            rates = radio.transmission_rates(
-                profile.targets, profile.powers, build_channel_matrix(scen), scen
-            )
+            rates = radio.transmission_rates(profile.targets, profile.powers, scen)
             I = profile.indicator(scen.n_nodes)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None

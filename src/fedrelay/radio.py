@@ -28,16 +28,18 @@ class PowerLimitError(ValueError):
         self.p_max = p_max
 
 
-def rates_from_matrix(P: np.ndarray, H: np.ndarray, scen: Scenario) -> np.ndarray:
+def rates_from_matrix(P: np.ndarray, scen: Scenario) -> np.ndarray:
     """Per-device rates from a full power matrix.
 
-    Numerator: own received power at the chosen relay, sum_j H_ij P_ij.
+    Numerator: own received power at the chosen relay, sum_j H_ij P_ij,
+    with H the scenario's gain matrix.
     Denominator: total received power at that relay from every device
     aiming at it, minus the numerator, plus noise. The relay grouping is
     carried by the matrix products H I^T and P I^T. Devices with an
     all-zero power row transmit nothing; their rate is NaN.
     """
     P = np.asarray(P, dtype=float)
+    H = scen.H
     n = scen.n_devices
     I = indicator_from_powers(P)
     HI = H @ I.T
@@ -53,21 +55,17 @@ def rates_from_matrix(P: np.ndarray, H: np.ndarray, scen: Scenario) -> np.ndarra
     return rates
 
 
-def transmission_rates(
-    targets: np.ndarray, powers: np.ndarray, H: np.ndarray, scen: Scenario
-) -> np.ndarray:
+def transmission_rates(targets: np.ndarray, powers: np.ndarray, scen: Scenario) -> np.ndarray:
     """Rates for a one-link-per-device assignment."""
     P = power_matrix(targets, powers, scen.n_nodes)
-    return rates_from_matrix(P, H, scen)
+    return rates_from_matrix(P, scen)
 
 
-def transmission_rate(
-    i: int, targets: np.ndarray, powers: np.ndarray, H: np.ndarray, scen: Scenario
-) -> float:
+def transmission_rate(i: int, targets: np.ndarray, powers: np.ndarray, scen: Scenario) -> float:
     """Rate of a single device; the device must actually transmit."""
     if not powers[i] > 0:
         raise ValueError(f"device {i} has no positive transmit power")
-    return float(transmission_rates(targets, powers, H, scen)[i])
+    return float(transmission_rates(targets, powers, scen)[i])
 
 
 def transmission_energy_cost(
@@ -89,7 +87,6 @@ def min_power_for_rate(
     target: int,
     target_rate: float,
     interference: float,
-    H: np.ndarray,
     scen: Scenario,
 ) -> float:
     """Smallest power at which device i hits `target_rate` toward `target`.
@@ -100,7 +97,7 @@ def min_power_for_rate(
     """
     if not target_rate > 0:
         raise ValueError(f"target rate must be > 0, got {target_rate}")
-    gain = H[i, target]
+    gain = scen.H[i, target]
     if not gain > 0:
         raise ValueError(f"no channel gain from device {i} to node {target}")
     d = scen.devices[i]

@@ -206,8 +206,8 @@ def routing_adjacency(targets: np.ndarray, n_devices: int) -> dict[str, str]:
 
 
 def adjacency_to_targets(adj: dict, n_devices: int) -> np.ndarray:
-    """Inverse of routing_adjacency."""
-    targets = np.zeros(n_devices, dtype=int)
+    """Inverse of routing_adjacency; every device must be named."""
+    targets = np.full(n_devices, -1, dtype=int)
     for key, value in adj.items():
         i = int(key) - 1
         if not 0 <= i < n_devices:
@@ -216,4 +216,7 @@ def adjacency_to_targets(adj: dict, n_devices: int) -> np.ndarray:
         if not 0 <= t <= n_devices:
             raise ValueError(f"target {value} of device {key} out of range")
         targets[i] = t
+    missing = np.flatnonzero(targets < 0) + 1
+    if len(missing):
+        raise ValueError(f"devices {missing.tolist()} have no target")
     return targets

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,13 @@ class Scenario:
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Effective gain matrix, built on first use and read-only."""
+        H = build_channel_matrix(self)
+        H.setflags(write=False)
+        return H
 
     @property
     def n_devices(self) -> int:

@@ -3,10 +3,12 @@ exterior-point penalty, per-device best responses, and the round-robin
 dynamics that assemble the bilevel equilibrium.
 
 Each device's strategy is a triple (price, relay target, transmit
-power). Prices enter profit separably and have a closed-form optimum;
-relay and power choices interact through interference, relay fees, and
-arrival deadlines, and are handled by discrete enumeration over targets
-with the deadline-matching minimal power per target. Constraint
+power). Prices enter profit separably and have a closed-form optimum in
+the device's own parameters, so prices and the owner's demand are fixed
+before any link choice. Relay and power choices interact through
+interference, relay fees, and arrival deadlines, and are handled by
+discrete enumeration over targets with the deadline-matching minimal
+power per target. Constraint
 violations are priced into the objective via an increasing schedule of
 penalty coefficients, so infeasible strategies are dominated once the
 coefficient is large.
@@ -21,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lower_level, radio, routing
-from .scenario import Scenario, build_channel_matrix, price_floor
+from .scenario import Scenario, price_floor
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_M_SCHEDULE = tuple(10.0**k for k in range(1, 9))
 
-# strategy-change tolerances for the convergence test
-_Q_TOL = 1e-10
+# power-change tolerance for the convergence test
 _P_TOL = 1e-10
 # relative bump on deadline-matching rates so met deadlines hold strictly
 _TIMING_SAFETY = 1e-9
@@ -64,11 +65,22 @@ class StrategyProfile:
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float)
-        self.targets = np.asarray(self.targets, dtype=int)
         self.powers = np.asarray(self.powers, dtype=float)
+        targets = np.asarray(self.targets)
+        integral = targets.dtype.kind in "iu" or (
+            targets.dtype.kind == "f"
+            and np.all(np.isfinite(targets))
+            and np.all(targets == np.trunc(targets))
+        )
+        if not integral:
+            raise ValueError("targets must be integers")
+        self.targets = targets.astype(int)
         n = len(self.prices)
         if len(self.targets) != n or len(self.powers) != n:
             raise ValueError("prices, targets, powers must have equal length")
+        for name in ("prices", "powers"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.targets == np.arange(n)):
             raise ValueError("a device cannot relay through itself")
 
@@ -147,15 +159,12 @@ def device_profit(
     demand: np.ndarray,
     scen: Scenario,
     rates: np.ndarray | None = None,
-    H: np.ndarray | None = None,
 ) -> float:
     """Profit of device i: data revenue, minus transmission energy and
     processing costs, plus relay-service revenue, minus the relay fee
     when not transmitting directly."""
-    if H is None:
-        H = build_channel_matrix(scen)
     if rates is None:
-        rates = radio.transmission_rates(profile.targets, profile.powers, H, scen)
+        rates = radio.transmission_rates(profile.targets, profile.powers, scen)
     I = profile.indicator(scen.n_nodes)
     return _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
 
@@ -171,12 +180,10 @@ def _profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
     return float(revenue - energy - processing + relay_revenue - relay_fee)
 
 
-def reduced_profit(
-    i: int, profile: StrategyProfile, scen: Scenario, H: np.ndarray | None = None
-) -> float:
+def reduced_profit(i: int, profile: StrategyProfile, scen: Scenario) -> float:
     """Profit with the owner's demand response substituted in."""
     demand = lower_level.best_response_demand(profile.prices, scen)
-    return device_profit(i, profile, demand, scen, H=H)
+    return device_profit(i, profile, demand, scen)
 
 
 def penalty_rho(
@@ -203,24 +210,16 @@ def penalty_rho(
     return rho
 
 
-def penalized_profit(
-    i: int,
-    profile: StrategyProfile,
-    M: float,
-    scen: Scenario,
-    H: np.ndarray | None = None,
-) -> float:
+def penalized_profit(i: int, profile: StrategyProfile, M: float, scen: Scenario) -> float:
     """Reduced profit plus M times the constraint penalty."""
     if M <= 0:
         raise ValueError(f"penalty coefficient must be > 0, got {M}")
-    if H is None:
-        H = build_channel_matrix(scen)
     demand = lower_level.best_response_demand(profile.prices, scen)
-    value, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M, H)
+    value, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
     return value
 
 
-def _value(i, prices, targets, powers, demand, scen, M, H) -> tuple[float, float]:
+def _value(i, prices, targets, powers, demand, scen, M) -> tuple[float, float]:
     """Penalized profit of device i at an explicit demand iterate.
 
     Matrix form: rebuilds the power and indicator matrices, every rate
@@ -230,7 +229,7 @@ def _value(i, prices, targets, powers, demand, scen, M, H) -> tuple[float, float
     """
     P = routing.power_matrix(targets, powers, scen.n_nodes)
     I = routing.indicator_from_powers(P)
-    rates = radio.rates_from_matrix(P, H, scen)
+    rates = radio.rates_from_matrix(P, scen)
     profit = _profit_terms(i, prices, powers, demand, rates, I, scen)
     rho = penalty_rho(i, I, demand, rates, scen)
     return profit + M * rho, rho
@@ -303,9 +302,7 @@ class _RelayContext:
     devices whose chains end at i join them.
     """
 
-    def __init__(
-        self, i: int, profile: StrategyProfile, demand: np.ndarray, scen: Scenario, H: np.ndarray
-    ):
+    def __init__(self, i: int, profile: StrategyProfile, demand: np.ndarray, scen: Scenario):
         n, ap = scen.n_devices, scen.ap
         targets = profile.targets.tolist()
         powers = profile.powers.tolist()
@@ -314,7 +311,8 @@ class _RelayContext:
                 f"best response of device {i} needs every other device to transmit "
                 "with positive power"
             )
-        self.i, self.scen, self.H = i, scen, H
+        self.H = H = scen.H
+        self.i, self.scen = i, scen
         self.device = d = scen.devices[i]
         self.T_s = routing.processing_times(demand, scen)
         # co-target received power per node, summed in ascending device order
@@ -338,7 +336,7 @@ class _RelayContext:
         if slack > 0:
             try:
                 rate = scen.I_d / slack * (1.0 + _TIMING_SAFETY)
-                return radio.min_power_for_rate(i, j, rate, self.interference[j], self.H, scen)
+                return radio.min_power_for_rate(i, j, rate, self.interference[j], scen)
             except radio.PowerLimitError:
                 pass
         return d.p_max
@@ -374,7 +372,6 @@ def relay_power_best_response(
     demand: np.ndarray,
     scen: Scenario,
     M: float,
-    H: np.ndarray | None = None,
     power_grid: int = 50,
 ) -> tuple[int, float]:
     """Best (target, power) for device i with everyone else held fixed.
@@ -388,9 +385,7 @@ def relay_power_best_response(
     profit; ties keep the lowest device target, with the direct link
     ordered last. Every other device must transmit with positive power.
     """
-    if H is None:
-        H = build_channel_matrix(scen)
-    ctx = _RelayContext(i, profile, demand, scen, H)
+    ctx = _RelayContext(i, profile, demand, scen)
     candidates = [(j, ctx.deadline_power(j)) for j in range(scen.n_devices) if j != i]
     candidates.append((scen.ap, scen.devices[i].p_max / power_grid))
 
@@ -427,7 +422,6 @@ def unilateral_gains(
     profile: StrategyProfile,
     scen: Scenario,
     M: float,
-    H: np.ndarray | None = None,
     power_grid: int = 50,
 ) -> np.ndarray:
     """Best-response improvement available to each device at a profile.
@@ -435,63 +429,39 @@ def unilateral_gains(
     Re-runs the price and the relay/power best responses once per device
     and measures the penalized-profit gain of the better of the two.
     """
-    if H is None:
-        H = build_channel_matrix(scen)
     n = scen.n_devices
     demand = lower_level.best_response_demand(profile.prices, scen)
     gains = np.zeros(n)
     for i in range(n):
-        base, _ = _value(
-            i, profile.prices, profile.targets, profile.powers, demand, scen, M, H
-        )
+        base, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
         q_alt = price_best_response(i, scen)
         prices_alt = profile.prices.copy()
         prices_alt[i] = q_alt
         demand_alt = lower_level.best_response_demand(prices_alt, scen)
-        val_q, _ = _value(
-            i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M, H
-        )
-        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M, H, power_grid)
+        val_q, _ = _value(i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M)
+        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M, power_grid)
         targets_alt = profile.targets.copy()
         powers_alt = profile.powers.copy()
         targets_alt[i], powers_alt[i] = j_alt, p_alt
-        val_jp, _ = _value(
-            i, profile.prices, targets_alt, powers_alt, demand, scen, M, H
-        )
+        val_jp, _ = _value(i, profile.prices, targets_alt, powers_alt, demand, scen, M)
         gains[i] = max(val_q, val_jp) - base
     return gains
 
 
-def best_response_dynamics(
-    scen: Scenario,
-    cfg: PenaltyConfig | None = None,
-    eps_nash: float = 1e-6,
-    max_iter: int = 100,
-    init: StrategyProfile | None = None,
-    order: str = "forward",
-    power_grid: int = 50,
-) -> EquilibriumReport:
-    """Round-robin best-response iteration over an increasing penalty schedule.
+def _round_robin(
+    scen: Scenario, cfg: PenaltyConfig, max_iter: int, order: str, power_grid: int
+) -> tuple[StrategyProfile, np.ndarray, int, bool]:
+    """Round-robin relay/power best responses from `default_init` over the
+    penalty schedule, re-converging at each coefficient.
 
-    Each round updates every device's price (closed form) and then its
-    (target, power) link; the demand iterate refreshes after each full
-    round. The schedule re-converges the dynamics at each penalty
-    coefficient. Non-convergence is reported, never raised. A given
-    `init` must have every power positive.
+    Prices stay at their closed-form optimum and the owner's demand at
+    its response to them. Returns the profile, the demand, the number of
+    rounds and whether the last stage settled.
     """
-    cfg = cfg or PenaltyConfig()
-    if order not in ("forward", "reverse"):
-        raise ValueError(f"order must be 'forward' or 'reverse', got {order!r}")
-    if init is not None and not np.all(init.powers > 0):
-        raise ValueError("every power of the initial profile must be positive")
-    H = build_channel_matrix(scen)
     n = scen.n_devices
-    start = default_init(scen, power_grid)
-    # the price best response depends on (i, scen) only
-    price_br = start.prices.copy()
-    profile = init.copy() if init is not None else start
+    profile = default_init(scen, power_grid)
     demand = lower_level.best_response_demand(profile.prices, scen)
-    device_order = list(range(n)) if order == "forward" else list(reversed(range(n)))
+    device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
 
     rounds = 0
     stable = False
@@ -501,31 +471,45 @@ def best_response_dynamics(
             rounds += 1
             changed = False
             for i in device_order:
-                q_new = price_br[i]
-                if abs(q_new - profile.prices[i]) > _Q_TOL:
-                    changed = True
-                profile.prices[i] = q_new
-                j_new, p_new = relay_power_best_response(
-                    i, profile, demand, scen, M, H, power_grid
-                )
+                j_new, p_new = relay_power_best_response(i, profile, demand, scen, M, power_grid)
                 if j_new != profile.targets[i] or abs(p_new - profile.powers[i]) > _P_TOL:
                     changed = True
                 profile.targets[i] = j_new
                 profile.powers[i] = p_new
-            demand = lower_level.best_response_demand(profile.prices, scen)
             if not changed:
                 stable = True
                 break
         if not stable:
             logger.warning("dynamics did not settle within %d rounds at M=%g", max_iter, M)
+    return profile, demand, rounds, stable
 
+
+def best_response_dynamics(
+    scen: Scenario,
+    cfg: PenaltyConfig | None = None,
+    eps_nash: float = 1e-6,
+    max_iter: int = 100,
+    power_grid: int = 50,
+) -> EquilibriumReport:
+    """Round-robin best-response iteration over an increasing penalty
+    schedule, and the report at the profile it ends on.
+
+    Every device starts direct to the access point with its price at the
+    closed-form optimum, which no later round changes; each round updates
+    every device's (target, power) link against the fixed demand. The
+    schedule re-converges the dynamics at each penalty coefficient.
+    Non-convergence is reported, never raised.
+    """
+    cfg = cfg or PenaltyConfig()
+    profile, demand, rounds, stable = _round_robin(scen, cfg, max_iter, "forward", power_grid)
+    n = scen.n_devices
     M_final = cfg.m_schedule[-1]
-    gain = float(np.max(np.maximum(unilateral_gains(
-        profile, scen, M_final, H, power_grid
-    ), 0.0), initial=0.0))
-    rates = radio.transmission_rates(profile.targets, profile.powers, H, scen)
+    gain = float(np.max(np.maximum(
+        unilateral_gains(profile, scen, M_final, power_grid), 0.0
+    ), initial=0.0))
+    rates = radio.transmission_rates(profile.targets, profile.powers, scen)
     profits = np.array([
-        device_profit(i, profile, demand, scen, rates=rates, H=H) for i in range(n)
+        device_profit(i, profile, demand, scen, rates=rates) for i in range(n)
     ])
     I = profile.indicator(scen.n_nodes)
     feas, violations = routing.feasible(I, demand, rates, scen, cfg.eps_feas)
@@ -551,27 +535,25 @@ def solve_stackelberg(
     cfg: PenaltyConfig | None = None,
     eps_nash: float = 1e-6,
     max_iter: int = 100,
-    init: StrategyProfile | None = None,
     power_grid: int = 50,
     order_check: bool = True,
 ) -> EquilibriumReport:
     """Full bilevel solve: leader dynamics, then the follower response
     and owner utility at the resulting profile.
 
-    With order_check the dynamics also run in reverse device order and
-    the report records whether both orders reach the same profile.
+    With order_check the round-robin loop also runs in reverse device
+    order, and the report records whether both orders reach the same
+    targets and powers (prices are fixed before either run); the report
+    itself describes the forward profile only.
     """
+    cfg = cfg or PenaltyConfig()
     report = best_response_dynamics(
-        scen, cfg, eps_nash=eps_nash, max_iter=max_iter, init=init, power_grid=power_grid
+        scen, cfg, eps_nash=eps_nash, max_iter=max_iter, power_grid=power_grid
     )
     if order_check:
-        alt = best_response_dynamics(
-            scen, cfg, eps_nash=eps_nash, max_iter=max_iter, init=init,
-            order="reverse", power_grid=power_grid,
-        )
+        alt, _, _, _ = _round_robin(scen, cfg, max_iter, "reverse", power_grid)
         report.order_robust = bool(
             np.array_equal(alt.targets, report.targets)
-            and np.allclose(alt.prices, report.prices, rtol=0, atol=1e-9)
             and np.allclose(alt.powers, report.powers, rtol=0, atol=1e-9)
         )
     return report

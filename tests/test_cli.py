@@ -262,6 +262,23 @@ def test_sweep_deterministic(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_sweep_alpha_matches_fresh_solves(tmp_path):
+    # alpha is the sweepable parameter that changes the channel matrix
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "paper9", "--seed", "7", "--out", str(out),
+                 "--param", "alpha", "--values", "2,3"]) == 0
+    header, *rows = read_csv(out / "sweep.csv")
+    by_alpha = {}
+    for alpha in (2.0, 3.0):
+        path = tmp_path / f"alpha{alpha}.json"
+        save_scenario(dataclasses.replace(paper9_scenario(7), alpha=alpha), path)
+        run = tmp_path / f"solve{alpha}"
+        assert main(["solve", "--scenario", str(path), "--out", str(run)]) == 0
+        by_alpha[alpha] = [r[3:] for r in rows if float(r[1]) == alpha]
+        assert by_alpha[alpha] == read_csv(run / "equilibrium.csv")[1:]
+    assert by_alpha[2.0] != by_alpha[3.0]
+
+
 def test_custom_m_schedule_flag(tmp_path):
     out = tmp_path / "run"
     code = main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out),
@@ -297,6 +314,10 @@ def _write_json(tmp_path, name, data):
         ({"prices": [50.0], "targets": [2], "powers": [1.0]}, "scenario has 2"),
         ({"prices": [50.0, 5.0], "targets": [7, 2], "powers": [1.0, 1.0]}, "targets must lie"),
         ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [-1.0, 1.0]}, "nonnegative"),
+        ({"prices": [50.0, 5.0], "targets": [1.7, 2], "powers": [1.0, 1.0]}, "integers"),
+        ({"prices": [float("nan"), 5.0], "targets": [1, 2], "powers": [1.0, 1.0]}, "prices must be finite"),
+        ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [float("inf"), 1.0]}, "powers must be finite"),
+        ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [float("nan"), 1.0]}, "powers must be finite"),
     ],
 )
 def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
@@ -317,6 +338,7 @@ def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
         ({"1": "two"}, "ValueError"),
         ({"1": None}, "TypeError"),
         (["N_D"], "AttributeError"),
+        ({"2": "N_D"}, "devices [1, 3, 4, 5, 6, 7, 8, 9] have no target"),
     ],
 )
 def test_validate_rejects_malformed_routing(tmp_path, capsys, adj, message):

@@ -23,16 +23,15 @@ def unit_gain_scenario(**kwargs):
 def test_sole_transmitter_unit_sinr():
     scen = unit_gain_scenario()
     H = build_channel_matrix(scen)
-    r = transmission_rate(0, np.array([1]), np.array([scen.sigma2 / H[0, 1]]), H, scen)
+    r = transmission_rate(0, np.array([1]), np.array([scen.sigma2 / H[0, 1]]), scen)
     assert r == pytest.approx(1.0, rel=1e-12)
 
 
 def test_silent_device_flagged():
     scen = unit_gain_scenario()
-    H = build_channel_matrix(scen)
     with pytest.raises(ValueError):
-        transmission_rate(0, np.array([1]), np.array([0.0]), H, scen)
-    rates = transmission_rates(np.array([1]), np.array([0.0]), H, scen)
+        transmission_rate(0, np.array([1]), np.array([0.0]), scen)
+    rates = transmission_rates(np.array([1]), np.array([0.0]), scen)
     assert np.isnan(rates[0])
 
 
@@ -43,7 +42,7 @@ def test_rates_match_grouping_oracle(rng):
         H = build_channel_matrix(scen)
         targets = np.array([rng.choice([t for t in range(n + 1) if t != i]) for i in range(n)])
         powers = rng.uniform(0.05, 10.0, size=n)
-        got = transmission_rates(targets, powers, H, scen)
+        got = transmission_rates(targets, powers, scen)
         want = grouped_rates_oracle(targets, powers, H, scen)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -51,12 +50,11 @@ def test_rates_match_grouping_oracle(rng):
 def test_rates_from_full_matrix_multi_entry_rows():
     # rows with several positive entries still evaluate finitely
     scen = make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    H = build_channel_matrix(scen)
     P = np.zeros((3, 3))
     P[0, 1] = 0.3
     P[0, 2] = 0.2
     P[1, 2] = 0.5
-    rates = rates_from_matrix(P, H, scen)
+    rates = rates_from_matrix(P, scen)
     assert np.all(np.isfinite(rates))
 
 
@@ -83,15 +81,13 @@ def test_energy_cost_matches_recomputation(paper9_scen, paper9_report):
 
 def test_min_power_unit_case():
     scen = unit_gain_scenario()
-    H = build_channel_matrix(scen)
-    p = min_power_for_rate(0, 1, scen.devices[0].w, 0.0, H, scen)
+    p = min_power_for_rate(0, 1, scen.devices[0].w, 0.0, scen)
     assert p == pytest.approx(1.0, rel=1e-12)
 
 
 def test_min_power_vanishes_with_rate():
     scen = unit_gain_scenario()
-    H = build_channel_matrix(scen)
-    assert min_power_for_rate(0, 1, 1e-9, 0.0, H, scen) < 1e-8
+    assert min_power_for_rate(0, 1, 1e-9, 0.0, scen) < 1e-8
 
 
 def test_min_power_round_trip(rng):
@@ -107,7 +103,7 @@ def test_min_power_round_trip(rng):
             1.0 + H[i, target] * scen.devices[i].p_max / (others_interference + scen.sigma2)
         )
         goal = float(rng.uniform(0.1, 0.99)) * max_rate
-        p = min_power_for_rate(i, target, goal, others_interference, H, scen)
+        p = min_power_for_rate(i, target, goal, others_interference, scen)
         sinr = H[i, target] * p / (others_interference + scen.sigma2)
         achieved = scen.devices[i].w * math.log2(1.0 + sinr)
         assert achieved == pytest.approx(goal, rel=1e-9)
@@ -115,22 +111,20 @@ def test_min_power_round_trip(rng):
 
 def test_min_power_signals_infeasible():
     scen = unit_gain_scenario(p_max=1.0)
-    H = build_channel_matrix(scen)
     with pytest.raises(PowerLimitError) as exc:
-        min_power_for_rate(0, 1, 10.0, 0.0, H, scen)
+        min_power_for_rate(0, 1, 10.0, 0.0, scen)
     assert exc.value.required > exc.value.p_max
     with pytest.raises(PowerLimitError) as exc:
-        min_power_for_rate(0, 1, 5000.0, 0.0, H, scen)
+        min_power_for_rate(0, 1, 5000.0, 0.0, scen)
     assert exc.value.required == math.inf
 
 
 def test_min_power_rejects_bad_args():
     scen = unit_gain_scenario()
-    H = build_channel_matrix(scen)
     with pytest.raises(ValueError):
-        min_power_for_rate(0, 1, 0.0, 0.0, H, scen)
+        min_power_for_rate(0, 1, 0.0, 0.0, scen)
     with pytest.raises(ValueError):
-        min_power_for_rate(0, 0, 1.0, 0.0, H, scen)  # zero self-gain
+        min_power_for_rate(0, 0, 1.0, 0.0, scen)  # zero self-gain
 
 
 def test_energy_per_update_monotone_in_power(rng):
@@ -149,14 +143,13 @@ def test_energy_per_update_monotone_in_power(rng):
 def test_rate_monotone_in_own_and_competitor_power(rng):
     # two devices aimed at the access point of a 3-node layout
     scen = make_scenario([[0.0, 0.0], [2.0, 1.0], [1.0, 3.0]])
-    H = build_channel_matrix(scen)
     targets = np.array([2, 2])
     for _ in range(30):
         p = rng.uniform(0.1, 5.0, size=2)
-        base = transmission_rates(targets, p, H, scen)
+        base = transmission_rates(targets, p, scen)
         up_own = p.copy()
         up_own[0] += rng.uniform(0.01, 2.0)
-        assert transmission_rates(targets, up_own, H, scen)[0] > base[0]
+        assert transmission_rates(targets, up_own, scen)[0] > base[0]
         up_comp = p.copy()
         up_comp[1] += rng.uniform(0.01, 2.0)
-        assert transmission_rates(targets, up_comp, H, scen)[0] < base[0]
+        assert transmission_rates(targets, up_comp, scen)[0] < base[0]

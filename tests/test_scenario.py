@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,19 @@ def test_generated_scenarios_pass_invariants():
     for seed in range(25):
         random_scenario(1 + seed % 6, seed=seed)
         paper9_scenario(seed)
+
+
+def test_scenario_channel_matrix_is_cached_and_read_only():
+    scen = paper9_scenario(7)
+    H = scen.H
+    assert scen.H is H
+    assert np.array_equal(H, build_channel_matrix(scen))
+    with pytest.raises(ValueError):
+        H[0, 1] = 1.0
+    steeper = dataclasses.replace(scen, alpha=3.0)
+    assert np.array_equal(steeper.H, build_channel_matrix(steeper))
+    assert not np.array_equal(steeper.H, H)
+    assert np.array_equal(scen.H, build_channel_matrix(scen))
 
 
 def test_channel_symmetry_iff_h_symmetric():

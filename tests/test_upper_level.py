@@ -24,6 +24,7 @@ from fedrelay.upper_level import (
     solve_stackelberg,
     unilateral_gains,
     _RelayContext,
+    _round_robin,
     _value,
 )
 from support import grid_argmax_price, make_device, make_scenario, profit_oracle
@@ -53,10 +54,9 @@ def relayable_scenario():
 
 def test_device_profit_direct_no_children():
     scen = make_scenario([[0.0, 0.0], [1.0, 0.0]], c_t=2.0, c_p=0.01)
-    H = build_channel_matrix(scen)
     profile = StrategyProfile(np.array([5.0]), np.array([1]), np.array([0.7]))
     demand = np.array([0.4])
-    rates = transmission_rates(profile.targets, profile.powers, H, scen)
+    rates = transmission_rates(profile.targets, profile.powers, scen)
     want = 5.0 * 0.4 - 2.0 * (scen.I_d / rates[0]) * 0.7 - 0.01 * 0.4
     assert device_profit(0, profile, demand, scen) == pytest.approx(want, rel=1e-14)
 
@@ -74,8 +74,7 @@ def test_device_profit_relay_term_counting():
         np.full(4, 5.0), np.array([3, 4, 4, 4]), np.full(4, 1.0)
     )
     with_relay = device_profit(0, profile, demand, scen)
-    H = build_channel_matrix(scen)
-    rates = transmission_rates(profile.targets, profile.powers, H, scen)
+    rates = transmission_rates(profile.targets, profile.powers, scen)
     d = scen.devices[0]
     solo_terms = (
         5.0 * 0.1 - d.c_t * (scen.I_d / rates[0]) * 1.0 - d.c_p * 0.1
@@ -98,8 +97,7 @@ def test_reduced_profit_shutoff_price():
     scen = make_scenario([[0.0, 0.0], [1.0, 0.0]], c=12.0, b=10.0)
     cb = 120.0
     profile = StrategyProfile(np.array([cb]), np.array([1]), np.array([1.0]))
-    H = build_channel_matrix(scen)
-    rates = transmission_rates(profile.targets, profile.powers, H, scen)
+    rates = transmission_rates(profile.targets, profile.powers, scen)
     energy = scen.devices[0].c_t * (scen.I_d / rates[0]) * 1.0
     # demand is zero, so only the energy term remains (direct: no fee)
     assert reduced_profit(0, profile, scen) == pytest.approx(-energy, rel=1e-12)
@@ -110,8 +108,7 @@ def test_reduced_profit_unit_log_price():
     cb, c = 120.0, 12.0
     q = cb / math.e
     profile = StrategyProfile(np.array([q]), np.array([1]), np.array([1.0]))
-    H = build_channel_matrix(scen)
-    rates = transmission_rates(profile.targets, profile.powers, H, scen)
+    rates = transmission_rates(profile.targets, profile.powers, scen)
     energy = scen.devices[0].c_t * (scen.I_d / rates[0]) * 1.0
     want = q / c - 0.06 / c - energy  # demand = 1/c
     assert reduced_profit(0, profile, scen) == pytest.approx(want, rel=1e-12)
@@ -119,7 +116,6 @@ def test_reduced_profit_unit_log_price():
 
 def test_reduced_profit_is_composition(rng):
     scen = random_scenario(4, seed=31)
-    H = build_channel_matrix(scen)
     for _ in range(10):
         prices = rng.uniform(5.0, 50.0, size=4)
         targets = np.array([rng.choice([t for t in range(5) if t != i]) for i in range(4)])
@@ -127,8 +123,8 @@ def test_reduced_profit_is_composition(rng):
         profile = StrategyProfile(prices, targets, powers)
         demand = best_response_demand(prices, scen)
         for i in range(4):
-            assert reduced_profit(i, profile, scen, H=H) == pytest.approx(
-                device_profit(i, profile, demand, scen, H=H), rel=1e-14
+            assert reduced_profit(i, profile, scen) == pytest.approx(
+                device_profit(i, profile, demand, scen), rel=1e-14
             )
 
 
@@ -231,11 +227,10 @@ def test_penalty_matches_feasibility_on_random_profiles(rng):
     for _ in range(200):
         n = int(rng.integers(1, 6))
         scen = random_scenario(n, seed=int(rng.integers(1 << 31)))
-        H = build_channel_matrix(scen)
         targets = np.array([rng.choice([t for t in range(n + 1) if t != i]) for i in range(n)])
         powers = rng.uniform(0.05, scen.devices[0].p_max, size=n)
         demand = rng.uniform(0.0, scen.param("s_max"))
-        rates = transmission_rates(targets, powers, H, scen)
+        rates = transmission_rates(targets, powers, scen)
         I = routing.plan_to_indicator(targets, n + 1)
         ok, _ = routing.feasible(I, demand, rates, scen)
         rho_zero = all(
@@ -300,10 +295,9 @@ def test_relay_br_single_device_goes_direct():
 
 def test_relay_br_prefers_cheap_relay_and_matches_enumeration():
     scen = relayable_scenario()
-    H = build_channel_matrix(scen)
     profile = default_init(scen)
     demand = best_response_demand(profile.prices, scen)
-    target, power = relay_power_best_response(0, profile, demand, scen, M_FINAL, H)
+    target, power = relay_power_best_response(0, profile, demand, scen, M_FINAL)
     assert target == 1  # through the slow neighbor, not direct
 
     # exhaustive oracle over (target, 100-point power grid)
@@ -313,13 +307,13 @@ def test_relay_br_prefers_cheap_relay_and_matches_enumeration():
             p = scen.devices[0].p_max * k / 100.0
             trial = profile.copy()
             trial.targets[0], trial.powers[0] = j, p
-            val = penalized_profit(0, trial, M_FINAL, scen, H=H)
+            val = penalized_profit(0, trial, M_FINAL, scen)
             if val > best_val:
                 best_val, best_target = val, j
     assert target == best_target
     chosen = profile.copy()
     chosen.targets[0], chosen.powers[0] = target, power
-    assert penalized_profit(0, chosen, M_FINAL, scen, H=H) >= best_val - 1e-12
+    assert penalized_profit(0, chosen, M_FINAL, scen) >= best_val - 1e-12
 
 
 def test_relay_br_unmeetable_deadline_goes_direct():
@@ -390,13 +384,12 @@ def test_relay_context_matches_matrix_value():
         n = int(rng.integers(2, 8))
         spec = RELAY_SPEC if trial % 2 else RandomSpec()
         scen = random_scenario(n, seed=int(rng.integers(1 << 31)), spec=spec)
-        H = build_channel_matrix(scen)
         profile = random_profile(rng, scen)
         demand = best_response_demand(profile.prices, scen)
         T_s = routing.processing_times(demand, scen)
         i = int(rng.integers(n))
         inflow = sum(1 for k in range(n) if k != i and profile.targets[k] == i)
-        ctx = _RelayContext(i, profile, demand, scen, H)
+        ctx = _RelayContext(i, profile, demand, scen)
         p_max = scen.devices[i].p_max
         for j in [t for t in range(n + 1) if t != i]:
             first = p_max / 50 if j == n else ctx.deadline_power(j)
@@ -410,14 +403,14 @@ def test_relay_context_matches_matrix_value():
                 if j < n:
                     slack = T_s[j] - T_s[i] - scen.devices[i].T_a * inflow
                     seen["relay_slack" if slack > 0 else "relay_no_slack"] += 1
-                rates = transmission_rates(targets, powers, H, scen)
+                rates = transmission_rates(targets, powers, scen)
                 I = routing.plan_to_indicator(targets, n + 1)
                 late = routing.timing_violations(I, demand, rates, scen)[i] > 0
                 seen["late"] += late
                 for M in DEFAULT_M_SCHEDULE:
                     val, rho = ctx.value(j, p, M)
                     want_val, want_rho = _value(
-                        i, profile.prices, targets, powers, demand, scen, M, H
+                        i, profile.prices, targets, powers, demand, scen, M
                     )
                     if late:  # the deadline term rests on a rate summed in another order
                         assert math.isclose(rho, want_rho, rel_tol=1e-12, abs_tol=0.0)
@@ -447,7 +440,7 @@ def grid_candidates(i, profile, demand, scen, H, power_grid=50):
         if slack > 0:
             try:
                 p = min_power_for_rate(
-                    i, j, scen.I_d / slack * (1.0 + 1e-9), interference, H, scen
+                    i, j, scen.I_d / slack * (1.0 + 1e-9), interference, scen
                 )
             except PowerLimitError:
                 pass
@@ -474,10 +467,10 @@ def test_relay_br_matches_grid_candidate_oracle():
                     continue
                 targets, powers = profile.targets.copy(), profile.powers.copy()
                 targets[i], powers[i] = j, p
-                val, _ = _value(i, profile.prices, targets, powers, demand, scen, M, H)
+                val, _ = _value(i, profile.prices, targets, powers, demand, scen, M)
                 if val > best_val:
                     best, best_val = (j, p), val
-            got = relay_power_best_response(i, profile, demand, scen, M, H)
+            got = relay_power_best_response(i, profile, demand, scen, M)
             assert got == best
             outcomes["direct" if got[0] == n else "relay"] += 1
     assert min(outcomes.values()) >= 20, outcomes
@@ -489,8 +482,6 @@ def test_relay_br_requires_positive_powers():
     demand = best_response_demand(profile.prices, scen)
     with pytest.raises(ValueError, match="positive power"):
         relay_power_best_response(0, profile, demand, scen, M_FINAL)
-    with pytest.raises(ValueError, match="positive"):
-        best_response_dynamics(scen, init=profile)
 
 
 # ------------------------------------------------------------- dynamics
@@ -519,12 +510,13 @@ def test_dynamics_single_device_matches_exhaustive_oracle():
 def test_dynamics_symmetric_devices_symmetric_equilibrium():
     scen = make_scenario([[-3.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
     fwd = best_response_dynamics(scen)
-    rev = best_response_dynamics(scen, order="reverse")
-    assert fwd.converged and rev.converged
+    rev, _, _, rev_stable = _round_robin(scen, PenaltyConfig(), 100, "reverse", 50)
+    assert fwd.converged and rev_stable
     assert abs(fwd.prices[0] - fwd.prices[1]) <= 1e-6
     assert abs(fwd.powers[0] - fwd.powers[1]) <= 1e-9
     assert np.array_equal(fwd.targets, rev.targets)
-    assert np.allclose(fwd.prices, rev.prices, atol=1e-9)
+    assert np.allclose(fwd.powers, rev.powers, rtol=0, atol=1e-9)
+    assert solve_stackelberg(scen).order_robust is True
 
 
 def test_dynamics_reaches_relay_equilibrium():
@@ -549,7 +541,6 @@ def test_dynamics_on_benchmark(paper9_scen, paper9_report):
     assert (rep.targets == paper9_scen.ap).sum() >= 1
     # co-relay interference: every device sharing its relay transmits
     # slower than it would alone
-    H = build_channel_matrix(paper9_scen)
     for i in range(paper9_scen.n_devices):
         sharers = [k for k in range(paper9_scen.n_devices)
                    if k != i and rep.targets[k] == rep.targets[i]]
@@ -557,7 +548,7 @@ def test_dynamics_on_benchmark(paper9_scen, paper9_report):
             continue
         solo = np.zeros_like(rep.powers)
         solo[i] = rep.powers[i]
-        solo_rate = transmission_rates(rep.targets, solo, H, paper9_scen)[i]
+        solo_rate = transmission_rates(rep.targets, solo, paper9_scen)[i]
         assert rep.rates[i] < solo_rate
 
 
@@ -687,6 +678,22 @@ def test_strategy_profile_validation():
         StrategyProfile(np.ones(2), np.array([0, 2]), np.ones(2))  # self-target
     with pytest.raises(ValueError):
         StrategyProfile(np.ones(2), np.array([1]), np.ones(2))
+    with pytest.raises(ValueError, match="integers"):
+        StrategyProfile(np.ones(2), [1.7, 2], np.ones(2))
+    with pytest.raises(ValueError, match="integers"):
+        StrategyProfile(np.ones(2), [np.nan, 2], np.ones(2))
+    with pytest.raises(ValueError, match="integers"):
+        StrategyProfile(np.ones(2), ["1", 2], np.ones(2))
+    with pytest.raises(ValueError, match="prices must be finite"):
+        StrategyProfile([np.nan, 1.0], [1, 2], np.ones(2))
+    with pytest.raises(ValueError, match="powers must be finite"):
+        StrategyProfile(np.ones(2), [1, 2], [np.inf, 1.0])
+    with pytest.raises(ValueError, match="powers must be finite"):
+        StrategyProfile(np.ones(2), [1, 2], [np.nan, 1.0])
+    # integral floats are targets; a zero power is a silent device
+    profile = StrategyProfile(np.ones(2), [1.0, 2.0], [1.0, 0.0])
+    assert profile.targets.dtype.kind == "i"
+    assert profile.targets.tolist() == [1, 2]
 
 
 def test_report_dict_round_trip(paper9_report):
