@@ -44,8 +44,6 @@ from .upper_level import (
     unilateral_gains,
 )
 
-logger = logging.getLogger(__name__)
-
 PRESETS = ("paper9",)
 SWEEPABLE = ("c_a", "I_d", "sigma2", "alpha")
 EQUILIBRIUM_COLUMNS = ("device_id", "price", "demand", "rate", "power", "target", "profit")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,14 @@ class ScenarioError(ValueError):
     """Raised when scenario parameters violate their invariants."""
 
 
+def _check(name: str, value: float, bound: float, at_least: bool = False) -> None:
+    """Raise ScenarioError naming `name` unless `value` is finite and above
+    `bound` (or at least `bound`)."""
+    if not (math.isfinite(value) and (value >= bound if at_least else value > bound)):
+        op = ">=" if at_least else ">"
+        raise ScenarioError(f"{name} must be finite and {op} {bound:g}, got {value}")
+
+
 @dataclass(frozen=True)
 class AccuracyModel:
     """Saturating accuracy curve a - b*exp(-c*s) of training-data size s."""
@@ -35,8 +44,8 @@ class AccuracyModel:
     c: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise ScenarioError(f"accuracy coefficients must be positive, got {self}")
+        for name in ("a", "b", "c"):
+            _check(f"accuracy coefficient {name}", getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True)
@@ -63,12 +72,9 @@ class DeviceParams:
     p_max: float
 
     def __post_init__(self):
-        if not (self.c_p >= 0 and math.isfinite(self.c_p)):
-            raise ScenarioError(f"device parameter c_p must be >= 0 and finite, got {self.c_p}")
+        _check("device parameter c_p", self.c_p, 0.0, at_least=True)
         for name in ("c_t", "r_p", "T_a", "w", "s_max", "q_max", "p_max"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ScenarioError(f"device parameter {name} must be positive and finite, got {v}")
+            _check(f"device parameter {name}", getattr(self, name), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,26 +103,17 @@ class Scenario:
             raise ScenarioError("node positions must be finite")
         h = np.asarray(self.h, dtype=float)
         if h.ndim == 0:
-            full = np.full((n + 1, n + 1), float(h))
-            object.__setattr__(self, "h", full)
-            h = full
-        else:
-            object.__setattr__(self, "h", h)
+            h = np.full((n + 1, n + 1), float(h))
+        object.__setattr__(self, "h", h)
         if h.shape != (n + 1, n + 1):
             raise ScenarioError(f"h must be scalar or ({n + 1}, {n + 1}), got {h.shape}")
         off = ~np.eye(n + 1, dtype=bool)
         if not np.all(h[off] > 0) or not np.all(np.isfinite(h)):
             raise ScenarioError("off-diagonal channel gains h_ij must be positive and finite")
-        if not (self.alpha >= 2 and math.isfinite(self.alpha)):
-            raise ScenarioError(
-                f"path-loss exponent alpha must be >= 2 and finite, got {self.alpha}"
-            )
-        if not (self.sigma2 > 0 and math.isfinite(self.sigma2)):
-            raise ScenarioError(f"noise power sigma2 must be > 0 and finite, got {self.sigma2}")
-        if not (self.I_d > 0 and math.isfinite(self.I_d)):
-            raise ScenarioError(f"update size I_d must be > 0 and finite, got {self.I_d}")
-        if not (self.c_a >= 0 and math.isfinite(self.c_a)):
-            raise ScenarioError(f"relay fee c_a must be >= 0 and finite, got {self.c_a}")
+        _check("path-loss exponent alpha", self.alpha, 2.0, at_least=True)
+        _check("noise power sigma2", self.sigma2, 0.0)
+        _check("update size I_d", self.I_d, 0.0)
+        _check("relay fee c_a", self.c_a, 0.0, at_least=True)
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")
@@ -157,78 +154,23 @@ def _distance_matrix(positions: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
+def _price_floor(cb: np.ndarray) -> float:
+    return PRICE_FLOOR_SCALE * float(np.min(cb))
+
+
 def price_floor(scen: Scenario) -> float:
     """Smallest admissible price: a fixed fraction of the cheapest c_i*b_i."""
     _, b, c = scen.accuracy_coeffs()
-    return PRICE_FLOOR_SCALE * float(np.min(c * b))
+    return _price_floor(c * b)
 
 
 def build_channel_matrix(scen: Scenario) -> np.ndarray:
     """Effective gain matrix H_ij = h_ij / d_ij**alpha with zero diagonal."""
     d = _distance_matrix(scen.positions)
     off = ~np.eye(scen.n_nodes, dtype=bool)
-    if np.any(d[off] == 0.0):
-        raise ScenarioError("coincident node positions give an undefined channel gain")
     H = np.zeros_like(d)
     H[off] = scen.h[off] / d[off] ** scen.alpha
     return H
-
-
-def _default_bounds(b: np.ndarray, c: np.ndarray, p_max: float):
-    """Demand caps that bind only at the price floor, price caps at c*b."""
-    cb = c * b
-    q_min = PRICE_FLOOR_SCALE * float(np.min(cb))
-    s_max = np.log(cb / q_min) / c
-    return s_max, cb, np.full(len(b), p_max)
-
-
-# 9-device benchmark instance; positions are drawn from the caller's seed.
-_P9_C_T = [58.0, 61.0, 51.5, 58.5, 95.0, 46.0, 175.0, 124.5, 31.0]
-_P9_C_P = [0.0043, 0.0085, 0.0136, 0.0095, 0.0098, 0.0067, 0.0081, 0.0055, 0.0112]
-_P9_R_P = [88.1, 89.3, 97.25, 61.65, 41.5, 41.95, 65.25, 82.15, 51.05]
-_P9_T_A = [0.0121, 0.0129, 0.0053, 0.0107, 0.0107, 0.0095, 0.013, 0.0088, 0.0072]
-_P9_ACC_C = [15.28, 9.17, 14.31, 11.21, 9.12, 13.61, 13.27, 9.63, 14.32]
-_P9_ACC_AB = [9.78, 9.15, 11.35, 11.17, 12.7, 9.15, 12.38, 13.5, 10.59]
-
-PAPER9_AREA = 10.0
-PAPER9_P_MAX = 10.0
-
-
-def paper9_scenario(seed: int) -> Scenario:
-    """The bundled 9-device benchmark scenario.
-
-    All device parameters are fixed; node positions are uniform on
-    [0, 10]^2 and depend only on `seed`.
-    """
-    n = 9
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, PAPER9_AREA, size=(n + 1, 2))
-    a = np.array(_P9_ACC_AB)
-    c = np.array(_P9_ACC_C)
-    s_max, q_max, p_max = _default_bounds(a, c, PAPER9_P_MAX)
-    devices = tuple(
-        DeviceParams(
-            c_p=_P9_C_P[i],
-            c_t=_P9_C_T[i],
-            r_p=_P9_R_P[i],
-            T_a=_P9_T_A[i],
-            w=1.0,
-            accuracy=AccuracyModel(a=_P9_ACC_AB[i], b=_P9_ACC_AB[i], c=_P9_ACC_C[i]),
-            s_max=float(s_max[i]),
-            q_max=float(q_max[i]),
-            p_max=float(p_max[i]),
-        )
-        for i in range(n)
-    )
-    return Scenario(
-        devices=devices,
-        positions=positions,
-        h=np.full((n + 1, n + 1), 10.0),
-        alpha=2.0,
-        sigma2=1.0,
-        I_d=0.1,
-        c_a=0.0096,
-    )
 
 
 @dataclass(frozen=True)
@@ -258,30 +200,34 @@ class RandomSpec:
     def __post_init__(self):
         for name in ("c_t", "c_p", "r_p", "T_a", "acc_a", "acc_c"):
             mean, std = getattr(self, name)
-            if std < 0:
-                raise ScenarioError(f"std of {name} must be >= 0, got {std}")
-            if mean <= 0:
-                raise ScenarioError(f"mean of {name} must be > 0, got {mean}")
+            _check(f"std of {name}", std, 0.0, at_least=True)
+            _check(f"mean of {name}", mean, 0.0)
 
 
-def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scenario:
-    """Seeded random instance: uniform positions, Gaussian device parameters."""
+def _seeded_scenario(
+    n: int,
+    seed: int,
+    spec: RandomSpec,
+    columns: Callable[[np.random.Generator], Sequence[Sequence[float]]],
+) -> Scenario:
+    """Instance with node positions uniform on [0, spec.area]^2, drawn first
+    from `seed`, and the device columns (c_t, c_p, r_p, T_a, acc_a, acc_c)
+    that `columns` returns from the same generator.
+
+    Accuracy b equals a; price caps sit at c*b and demand caps bind only at
+    the price floor. Of `spec` only the globals (w, h, alpha, sigma2, I_d,
+    c_a, p_max, area) are read here.
+    """
     if n < 1:
         raise ScenarioError(f"need at least one device, got n={n}")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}") from exc
     positions = rng.uniform(0.0, spec.area, size=(n + 1, 2))
-
-    def draw(dist: tuple[float, float]) -> np.ndarray:
-        mean, std = dist
-        return np.maximum(rng.normal(mean, std, size=n), spec.floor)
-
-    c_t = draw(spec.c_t)
-    c_p = draw(spec.c_p)
-    r_p = draw(spec.r_p)
-    T_a = draw(spec.T_a)
-    acc_a = draw(spec.acc_a)
-    acc_c = draw(spec.acc_c)
-    s_max, q_max, p_max = _default_bounds(acc_a, acc_c, spec.p_max)
+    c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
+    cb = acc_c * acc_a
+    s_max = np.log(cb / _price_floor(cb)) / acc_c
     devices = tuple(
         DeviceParams(
             c_p=float(c_p[i]),
@@ -291,20 +237,56 @@ def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scena
             w=spec.w,
             accuracy=AccuracyModel(a=float(acc_a[i]), b=float(acc_a[i]), c=float(acc_c[i])),
             s_max=float(s_max[i]),
-            q_max=float(q_max[i]),
-            p_max=float(p_max[i]),
+            q_max=float(cb[i]),
+            p_max=float(spec.p_max),
         )
         for i in range(n)
     )
     return Scenario(
         devices=devices,
         positions=positions,
-        h=np.full((n + 1, n + 1), spec.h),
+        h=spec.h,
         alpha=spec.alpha,
         sigma2=spec.sigma2,
         I_d=spec.I_d,
         c_a=spec.c_a,
     )
+
+
+# 9-device benchmark instance: one tuple per parameter, in the builder's column
+# order (c_t, c_p, r_p, T_a, acc_a, acc_c), one entry per device.
+_P9_COLUMNS = (
+    (58.0, 61.0, 51.5, 58.5, 95.0, 46.0, 175.0, 124.5, 31.0),
+    (0.0043, 0.0085, 0.0136, 0.0095, 0.0098, 0.0067, 0.0081, 0.0055, 0.0112),
+    (88.1, 89.3, 97.25, 61.65, 41.5, 41.95, 65.25, 82.15, 51.05),
+    (0.0121, 0.0129, 0.0053, 0.0107, 0.0107, 0.0095, 0.013, 0.0088, 0.0072),
+    (9.78, 9.15, 11.35, 11.17, 12.7, 9.15, 12.38, 13.5, 10.59),
+    (15.28, 9.17, 14.31, 11.21, 9.12, 13.61, 13.27, 9.63, 14.32),
+)
+# paper9's globals, stated in full so that a change to RandomSpec's defaults never
+# moves it; its Gaussian fields are never drawn from.
+_P9_GLOBALS = RandomSpec(
+    w=1.0, h=10.0, alpha=2.0, sigma2=1.0, I_d=0.1, c_a=0.0096, p_max=10.0, area=10.0
+)
+
+
+def paper9_scenario(seed: int) -> Scenario:
+    """The bundled 9-device benchmark scenario.
+
+    All device parameters are fixed; node positions are uniform on
+    [0, 10]^2 and depend only on `seed`.
+    """
+    return _seeded_scenario(len(_P9_COLUMNS[0]), seed, _P9_GLOBALS, lambda rng: _P9_COLUMNS)
+
+
+def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scenario:
+    """Seeded random instance: uniform positions, Gaussian device parameters."""
+
+    def draw(rng: np.random.Generator) -> list[np.ndarray]:
+        dists = (spec.c_t, spec.c_p, spec.r_p, spec.T_a, spec.acc_a, spec.acc_c)
+        return [np.maximum(rng.normal(mean, std, size=n), spec.floor) for mean, std in dists]
+
+    return _seeded_scenario(n, seed, spec, draw)
 
 
 def scenario_to_dict(scen: Scenario) -> dict:
@@ -313,20 +295,7 @@ def scenario_to_dict(scen: Scenario) -> dict:
     vals = scen.h[off]
     h: float | list = float(vals[0]) if np.all(vals == vals[0]) else scen.h.tolist()
     return {
-        "devices": [
-            {
-                "c_p": d.c_p,
-                "c_t": d.c_t,
-                "r_p": d.r_p,
-                "T_a": d.T_a,
-                "w": d.w,
-                "accuracy": {"a": d.accuracy.a, "b": d.accuracy.b, "c": d.accuracy.c},
-                "s_max": d.s_max,
-                "q_max": d.q_max,
-                "p_max": d.p_max,
-            }
-            for d in scen.devices
-        ],
+        "devices": [asdict(d) for d in scen.devices],
         "positions": scen.positions.tolist(),
         "global": {
             "alpha": scen.alpha,
@@ -364,7 +333,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             I_d=g["I_d"],
             c_a=g["c_a"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
 
 

@@ -469,13 +469,16 @@ def _round_robin(
         stable = False
         for _ in range(max_iter):
             rounds += 1
-            changed = False
+            changed = 0
             for i in device_order:
                 j_new, p_new = relay_power_best_response(i, profile, demand, scen, M, power_grid)
                 if j_new != profile.targets[i] or abs(p_new - profile.powers[i]) > _P_TOL:
-                    changed = True
+                    changed += 1
                 profile.targets[i] = j_new
                 profile.powers[i] = p_new
+            logger.debug(
+                "%s order, M=%g, round %d: %d of %d devices changed", order, M, rounds, changed, n
+            )
             if not changed:
                 stable = True
                 break

@@ -59,9 +59,23 @@ def _nan_relay_fee(data):
     data["global"]["c_a"] = float("nan")
 
 
+def _infinite_accuracy_a(data):
+    data["devices"][1]["accuracy"]["a"] = float("inf")
+
+
+def _infinite_accuracy_c(data):
+    data["devices"][1]["accuracy"]["c"] = float("inf")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
-    [(_nan_position, "positions"), (_infinite_update_size, "I_d"), (_nan_relay_fee, "c_a")],
+    [
+        (_nan_position, "positions"),
+        (_infinite_update_size, "I_d"),
+        (_nan_relay_fee, "c_a"),
+        (_infinite_accuracy_a, "accuracy coefficient a"),
+        (_infinite_accuracy_c, "accuracy coefficient c"),
+    ],
 )
 def test_solve_rejects_non_finite_scenario(tmp_path, capsys, corrupt, message):
     data = scenario_to_dict(paper9_scenario(3))
@@ -80,10 +94,16 @@ def test_solve_rejects_power_grid_below_one(tmp_path, capsys):
     assert "--power-grid" in capsys.readouterr().err
 
 
-def test_validate_requires_exactly_one_source(capsys):
+def test_validate_requires_exactly_one_source(tmp_path, capsys):
     assert main(["validate", "--preset", "paper9", "--random", "4", "--seed", "1"]) == 2
     assert main(["validate", "--preset", "paper9"]) == 2  # missing seed
     assert main(["validate"]) == 2
+    capsys.readouterr()
+    for source in (["--random", "1", "--seed", "-1"], ["--preset", "paper9", "--seed", "-3"]):
+        out = tmp_path / "run"
+        assert main(["solve", *source, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_validate_table_routing_structurally(tmp_path):

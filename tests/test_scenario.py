@@ -62,6 +62,7 @@ def test_paper9_values():
     assert scen.devices[6].c_t == 175.0
     assert scen.devices[2].T_a == 0.0053
     assert all(d.w == 1.0 for d in scen.devices)
+    assert all(d.p_max == 10.0 for d in scen.devices)
     assert np.all(scen.h[~np.eye(10, dtype=bool)] == 10.0)
 
 
@@ -100,6 +101,12 @@ def test_random_scenario_rejects_bad_args():
         random_scenario(0, seed=1)
     with pytest.raises(ScenarioError):
         RandomSpec(c_t=(50.0, -1.0))
+    with pytest.raises(ScenarioError, match="mean of c_t"):
+        RandomSpec(c_t=(math.inf, 1.0))
+    with pytest.raises(ScenarioError, match="seed"):
+        paper9_scenario(-1)
+    with pytest.raises(ScenarioError, match="seed"):
+        random_scenario(3, seed=-1)
 
 
 def test_generated_scenarios_pass_invariants():
@@ -186,6 +193,9 @@ def test_invalid_parameters_named():
             scenario_from_dict(bad)
     with pytest.raises(ScenarioError, match="malformed"):
         scenario_from_dict({"devices": []})
+    bad = {**good, "global": {**good["global"], "alpha": 10**400}}  # too large for a float
+    with pytest.raises(ScenarioError, match="malformed"):
+        scenario_from_dict(bad)
 
 
 def test_device_params_validated():
@@ -195,6 +205,8 @@ def test_device_params_validated():
         make_device(c=-1.0)
     with pytest.raises(ScenarioError):
         make_device(s_max=math.inf)
+    with pytest.raises(ScenarioError, match="accuracy coefficient c"):
+        make_device(c=math.inf)
 
 
 def test_scalar_h_broadcast():

@@ -704,3 +704,12 @@ def test_report_dict_round_trip(paper9_report):
     assert back.owner_utility == paper9_report.owner_utility
     assert back.converged == paper9_report.converged
     assert back.order_robust == paper9_report.order_robust
+
+
+def test_round_robin_logs_one_debug_record_per_round(caplog):
+    with caplog.at_level("DEBUG", logger="fedrelay.upper_level"):
+        report = solve_stackelberg(paper9_scenario(7), order_check=False)
+    rounds = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+    assert len(rounds) == report.iterations
+    assert all("round" in m and "of 9 devices changed" in m for m in rounds)
+    assert rounds[-1].endswith(f"round {report.iterations}: 0 of 9 devices changed")

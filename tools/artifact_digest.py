@@ -1,0 +1,78 @@
+"""Digest the artifacts of a fixed set of CLI runs, to compare two checkouts.
+
+Runs 39 `fedrelay` command lines in-process and hashes, per run, the exit
+code, stdout and every file written to the output directory. It prints
+one line per run and a total; two checkouts whose totals match produce
+byte-identical artifacts. The temporary directory is masked wherever it
+appears, so the output depends only on the code under test:
+
+    PYTHONPATH=<checkout>/src python3 tools/artifact_digest.py
+
+Digests may differ across numpy builds, so compare two checkouts on the
+same machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from fedrelay.cli import main
+from fedrelay.scenario import RandomSpec, random_scenario, save_scenario
+
+RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
+MASK = "<tmp>"
+
+
+def command_lines(tmp: Path) -> list[list[str]]:
+    """The runs, each writing to its own directory under `tmp`."""
+    runs: list[list[str]] = []
+    runs += [["solve", "--preset", "paper9", "--seed", str(s)] for s in range(12)]
+    runs += [
+        ["solve", "--random", str(n), "--seed", str(s)] for n in (2, 3, 4, 6) for s in range(4)
+    ]
+    runs += [["solve", "--random", "16", "--max-iter", "8", "--seed", str(s)] for s in range(6)]
+    for s in range(4):
+        path = tmp / f"relay-{s}.json"
+        save_scenario(random_scenario(9, s, RELAY_SPEC), path)
+        runs.append([
+            "sweep", "--scenario", str(path), "--param", "I_d",
+            "--values", "0.05,0.1,0.2,0.4", "--max-iter", "1",
+        ])
+    runs.append(["sweep", "--preset", "paper9", "--seed", "7", "--param", "alpha", "--values", "2,3"])
+    return [argv + ["--out", str(tmp / f"run-{k}")] for k, argv in enumerate(runs)]
+
+
+def run_digest(argv: list[str], tmp: Path) -> tuple[str, int]:
+    """sha256 of one run's exit code, stdout and artifacts, and the exit code."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(argv)
+    h = hashlib.sha256(f"rc={rc}\n".encode())
+    h.update(stdout.getvalue().replace(str(tmp), MASK).encode())
+    out_dir = Path(argv[argv.index("--out") + 1])
+    for path in sorted(out_dir.iterdir()):
+        h.update(f"\n{path.name}\n".encode())
+        h.update(path.read_bytes().replace(str(tmp).encode(), MASK.encode()))
+    return h.hexdigest(), rc
+
+
+def main_digest() -> int:
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for argv in command_lines(tmp):
+            digest, rc = run_digest(argv, tmp)
+            total.update(digest.encode())
+            shown = " ".join(argv).replace(str(tmp), MASK)
+            print(f"{digest[:16]}  rc={rc}  {shown}")
+    print(f"total {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
