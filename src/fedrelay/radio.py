@@ -3,7 +3,8 @@
 Devices that transmit to the same relay share the channel; a device's
 SINR is its received power at the relay over the other co-relay
 received powers plus noise. Devices aimed at different relays do not
-interfere.
+interfere. Rates are computed from the next-hop vector: the co-relay
+received powers are summed per target node.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 
 import numpy as np
 
-from .routing import indicator_from_powers, power_matrix
 from .scenario import Scenario
 
 
@@ -28,37 +28,26 @@ class PowerLimitError(ValueError):
         self.p_max = p_max
 
 
-def rates_from_matrix(P: np.ndarray, scen: Scenario) -> np.ndarray:
-    """Per-device rates from a full power matrix.
-
-    Numerator: own received power at the chosen relay, sum_j H_ij P_ij,
-    with H the scenario's gain matrix.
-    Denominator: total received power at that relay from every device
-    aiming at it, minus the numerator, plus noise. The relay grouping is
-    carried by the matrix products H I^T and P I^T. Devices with an
-    all-zero power row transmit nothing; their rate is NaN.
-    """
-    P = np.asarray(P, dtype=float)
-    H = scen.H
-    n = scen.n_devices
-    I = indicator_from_powers(P)
-    HI = H @ I.T
-    PI = P @ I.T
-    own = np.einsum("ij,ij->i", H, P)
-    at_relay = np.einsum("ji,ji->i", HI, PI)
-    denom = at_relay - own + scen.sigma2
-    if np.any(denom <= 0):
-        raise ValueError("non-positive SINR denominator; check sigma2 and powers")
-    w = scen.param("w")
-    rates = w * np.log2(1.0 + own[:n] / denom[:n])
-    rates[own[:n] == 0.0] = np.nan
-    return rates
-
-
 def transmission_rates(targets: np.ndarray, powers: np.ndarray, scen: Scenario) -> np.ndarray:
-    """Rates for a one-link-per-device assignment."""
-    P = power_matrix(targets, powers, scen.n_nodes)
-    return rates_from_matrix(P, scen)
+    """Per-device rates of a next-hop assignment: device k sends to
+    targets[k] with power powers[k] >= 0.
+
+    Numerator: own received power H[k, targets[k]] * powers[k], with H
+    the scenario's gain matrix. Denominator: total received power at that
+    target from every device aiming at it, minus the numerator, plus
+    noise. A device with zero received power transmits nothing; its rate
+    is NaN.
+    """
+    targets = np.asarray(targets, dtype=int)
+    powers = np.asarray(powers, dtype=float)
+    if np.any(powers < 0):
+        raise ValueError("powers must be nonnegative")
+    own = scen.H[np.arange(scen.n_devices), targets] * powers
+    at_target = np.bincount(targets, weights=own, minlength=scen.n_nodes)[targets]
+    denom = at_target - own + scen.sigma2
+    rates = scen.param("w") * np.log2(1.0 + own / denom)
+    rates[own == 0.0] = np.nan
+    return rates
 
 
 def transmission_rate(i: int, targets: np.ndarray, powers: np.ndarray, scen: Scenario) -> float:

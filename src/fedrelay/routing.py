@@ -5,7 +5,10 @@ The transmission graph is encoded two ways: as a target vector
 as a 0/1 indicator matrix over all n+1 nodes. Structural feasibility
 means every device has exactly one outgoing link, no self-loops, at
 least one device reaches the access point directly, and every forwarding
-chain terminates at the access point.
+chain terminates at the access point. Every check reads the indicator's
+rows as next-hop sets: out-degrees and diagonal entries per row, chain
+termination by stepping each node's next hops, and deadlines from one
+row and one column.
 """
 
 from __future__ import annotations
@@ -56,45 +59,34 @@ def check_ap_connected(I: np.ndarray) -> bool:
     return link_faults(I)[2] <= 0
 
 
-def _absorbing(I: np.ndarray) -> np.ndarray:
-    """Copy of I with a self-loop at the access point, so chains that
-    arrive there stay there under repeated squaring."""
-    J = np.asarray(I, dtype=np.int64).copy()
-    J[-1, -1] = 1
-    return J
-
-
-def bool_matrix_power(I: np.ndarray, k: int) -> np.ndarray:
-    """k-step reachability matrix over the boolean (OR/AND) semiring."""
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    result = np.asarray(I, dtype=np.int64).copy()
-    base = np.asarray(I, dtype=np.int64)
-    for _ in range(k - 1):
-        result = (result @ base > 0).astype(np.int64)
-    return result
-
-
-def all_at_ap_matrix(n_nodes: int) -> np.ndarray:
-    """Matrix every feasible plan's reachability power must equal: each
-    row's single 1 sits in the access-point column."""
-    M = np.zeros((n_nodes, n_nodes), dtype=np.int64)
-    M[:, -1] = 1
-    return M
-
-
 def reach_defect(I: np.ndarray) -> float:
-    """Squared Frobenius distance of the reachability power from the
-    all-chains-at-access-point matrix; 0 iff every chain terminates.
+    """Chain-termination defect of an indicator over all n+1 nodes; 0 iff
+    every forwarding chain ends at the access point.
 
-    The power is the boolean n-th power of the indicator with the
-    absorbing access-point convention; n single-link devices can form a
-    chain of depth at most n, so exponent n covers every case.
+    From every node, the set of nodes reached in exactly k hops is
+    stepped through the next-hop sets of I for k = 1..n, with the access
+    point absorbing (it always steps to itself as well). n single-link
+    devices form chains of depth at most n, so n hops cover every case.
+    Each start node adds one per device in its n-hop set, and one more
+    if the access point is missing from it. A set that steps to itself
+    stays fixed, so its walk stops early.
     """
     I = np.asarray(I)
-    n = I.shape[0] - 1
-    reach = bool_matrix_power(_absorbing(I), n)
-    return float(((reach - all_at_ap_matrix(I.shape[0])) ** 2).sum())
+    ap = I.shape[0] - 1
+    next_hops: list[set[int]] = [set() for _ in range(ap + 1)]
+    for v, w in zip(*np.nonzero(I)):
+        next_hops[v].add(int(w))
+    next_hops[ap].add(ap)
+    defect = 0
+    for u in range(ap + 1):
+        reached = {u}
+        for _ in range(ap):
+            stepped = set().union(*(next_hops[v] for v in reached))
+            if stepped == reached:
+                break
+            reached = stepped
+        defect += len(reached - {ap}) + (ap not in reached)
+    return float(defect)
 
 
 def check_acyclic_reach(I: np.ndarray) -> bool:

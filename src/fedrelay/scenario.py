@@ -27,12 +27,29 @@ class ScenarioError(ValueError):
     """Raised when scenario parameters violate their invariants."""
 
 
-def _check(name: str, value: float, bound: float, at_least: bool = False) -> None:
-    """Raise ScenarioError naming `name` unless `value` is finite and above
-    `bound` (or at least `bound`)."""
-    if not (math.isfinite(value) and (value >= bound if at_least else value > bound)):
+# Ranges of the parameters that otherwise take a solve out of floating point
+# at the paper's scale (unit noise and bandwidth, powers up to 10 on a
+# 10 x 10 area): past them a rate rounds to 0 or a squared deadline term
+# overflows. Every bound is inclusive.
+ALPHA_MIN, ALPHA_MAX = 2.0, 6.0
+SIGMA2_MIN, SIGMA2_MAX = 1e-6, 1e6
+I_D_MAX = 1e6
+T_A_MAX = 1e6
+R_P_MIN = 1e-6
+W_MIN = 1e-6
+P_MAX_MIN = 1e-6
+
+
+def _check(
+    name: str, value: float, bound: float, at_least: bool = False, at_most: float = math.inf
+) -> None:
+    """Raise ScenarioError naming `name` unless `value` is finite, above
+    `bound` (or at least `bound`) and at most `at_most`."""
+    above = value >= bound if at_least else value > bound
+    if not (math.isfinite(value) and above and value <= at_most):
         op = ">=" if at_least else ">"
-        raise ScenarioError(f"{name} must be finite and {op} {bound:g}, got {value}")
+        upper = f" and <= {at_most:g}" if at_most < math.inf else ""
+        raise ScenarioError(f"{name} must be finite and {op} {bound:g}{upper}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +90,11 @@ class DeviceParams:
 
     def __post_init__(self):
         _check("device parameter c_p", self.c_p, 0.0, at_least=True)
-        for name in ("c_t", "r_p", "T_a", "w", "s_max", "q_max", "p_max"):
+        for name in ("c_t", "s_max", "q_max"):
             _check(f"device parameter {name}", getattr(self, name), 0.0)
+        _check("device parameter T_a", self.T_a, 0.0, at_most=T_A_MAX)
+        for name, least in (("r_p", R_P_MIN), ("w", W_MIN), ("p_max", P_MAX_MIN)):
+            _check(f"device parameter {name}", getattr(self, name), least, at_least=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +130,9 @@ class Scenario:
         off = ~np.eye(n + 1, dtype=bool)
         if not np.all(h[off] > 0) or not np.all(np.isfinite(h)):
             raise ScenarioError("off-diagonal channel gains h_ij must be positive and finite")
-        _check("path-loss exponent alpha", self.alpha, 2.0, at_least=True)
-        _check("noise power sigma2", self.sigma2, 0.0)
-        _check("update size I_d", self.I_d, 0.0)
+        _check("path-loss exponent alpha", self.alpha, ALPHA_MIN, at_least=True, at_most=ALPHA_MAX)
+        _check("noise power sigma2", self.sigma2, SIGMA2_MIN, at_least=True, at_most=SIGMA2_MAX)
+        _check("update size I_d", self.I_d, 0.0, at_most=I_D_MAX)
         _check("relay fee c_a", self.c_a, 0.0, at_least=True)
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):

@@ -222,14 +222,14 @@ def penalized_profit(i: int, profile: StrategyProfile, M: float, scen: Scenario)
 def _value(i, prices, targets, powers, demand, scen, M) -> tuple[float, float]:
     """Penalized profit of device i at an explicit demand iterate.
 
-    Matrix form: rebuilds the power and indicator matrices, every rate
-    and the boolean reachability power. The certificate in
-    `unilateral_gains` scores with it, independently of the O(1)
-    candidate evaluation in `relay_power_best_response`.
+    Whole-profile form: recomputes every rate from the next-hop vector,
+    the indicator of the positive-power links, and the penalty that
+    `routing.feasible` reports with, chain termination included. The
+    certificate in `unilateral_gains` scores with it, independently of
+    the O(1) candidate evaluation in `relay_power_best_response`.
     """
-    P = routing.power_matrix(targets, powers, scen.n_nodes)
-    I = routing.indicator_from_powers(P)
-    rates = radio.rates_from_matrix(P, scen)
+    I = routing.indicator_from_powers(routing.power_matrix(targets, powers, scen.n_nodes))
+    rates = radio.transmission_rates(targets, powers, scen)
     profit = _profit_terms(i, prices, powers, demand, rates, I, scen)
     rho = penalty_rho(i, I, demand, rates, scen)
     return profit + M * rho, rho

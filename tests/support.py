@@ -1,8 +1,9 @@
 """Shared test helpers: independent oracles and tiny scenario builders.
 
 The oracles deliberately avoid the library's own code paths: rates are
-regrouped with explicit loops, argmaxes come from dense grids, and
-reachability is checked by walking the next-hop function.
+regrouped with explicit loops or full-matrix algebra, argmaxes come from
+dense grids, and reachability is checked by walking the next-hop
+function or by boolean matrix powers.
 """
 
 from __future__ import annotations
@@ -72,6 +73,68 @@ def walk_reaches_ap(targets, n: int) -> bool:
         if node != ap:
             return False
     return True
+
+
+def rates_from_matrix(P, scen) -> np.ndarray:
+    """Per-device rates from a full (n+1)x(n+1) power matrix.
+
+    Numerator: own received power at the chosen relay, sum_j H_ij P_ij,
+    with H the scenario's gain matrix.
+    Denominator: total received power at that relay from every device
+    aiming at it, minus the numerator, plus noise. The relay grouping is
+    carried by the matrix products H I^T and P I^T, with I the indicator
+    of positive entries. Devices with an all-zero power row transmit
+    nothing; their rate is NaN.
+    """
+    P = np.asarray(P, dtype=float)
+    H = scen.H
+    n = scen.n_devices
+    I = (P > 0).astype(np.int64)
+    HI = H @ I.T
+    PI = P @ I.T
+    own = np.einsum("ij,ij->i", H, P)
+    at_relay = np.einsum("ji,ji->i", HI, PI)
+    denom = at_relay - own + scen.sigma2
+    w = scen.param("w")
+    rates = w * np.log2(1.0 + own[:n] / denom[:n])
+    rates[own[:n] == 0.0] = np.nan
+    return rates
+
+
+def _absorbing(I) -> np.ndarray:
+    """Copy of I with a self-loop at the access point, so chains that
+    arrive there stay there under repeated multiplication."""
+    J = np.asarray(I, dtype=np.int64).copy()
+    J[-1, -1] = 1
+    return J
+
+
+def bool_matrix_power(I, k: int) -> np.ndarray:
+    """k-step reachability matrix over the boolean (OR/AND) semiring."""
+    if k < 1:
+        raise ValueError("exponent must be >= 1")
+    result = np.asarray(I, dtype=np.int64).copy()
+    base = np.asarray(I, dtype=np.int64)
+    for _ in range(k - 1):
+        result = (result @ base > 0).astype(np.int64)
+    return result
+
+
+def all_at_ap_matrix(n_nodes: int) -> np.ndarray:
+    """Matrix every feasible plan's reachability power must equal: each
+    row's single 1 sits in the access-point column."""
+    M = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+    M[:, -1] = 1
+    return M
+
+
+def reach_defect_matrix(I) -> float:
+    """Squared Frobenius distance of the boolean n-th power of I (access
+    point absorbing) from the all-chains-at-access-point matrix."""
+    I = np.asarray(I)
+    n = I.shape[0] - 1
+    reach = bool_matrix_power(_absorbing(I), n)
+    return float(((reach - all_at_ap_matrix(I.shape[0])) ** 2).sum())
 
 
 def grouped_rates_oracle(targets, powers, H, scen) -> np.ndarray:

@@ -8,6 +8,14 @@ import pytest
 from fedrelay.cli import main, reverify_unilateral_gain
 from fedrelay.radio import transmission_energy_cost
 from fedrelay.scenario import (
+    ALPHA_MAX,
+    I_D_MAX,
+    P_MAX_MIN,
+    R_P_MIN,
+    SIGMA2_MAX,
+    SIGMA2_MIN,
+    T_A_MAX,
+    W_MIN,
     RandomSpec,
     paper9_scenario,
     random_scenario,
@@ -85,6 +93,55 @@ def test_solve_rejects_non_finite_scenario(tmp_path, capsys, corrupt, message):
     assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and message in err
+
+
+# (section, key, a value past the range, the range's bound)
+RANGE_CASES = [
+    ("global", "sigma2", 1e300, SIGMA2_MAX),
+    ("global", "sigma2", 1e-300, SIGMA2_MIN),
+    ("device", "p_max", 1e-300, P_MAX_MIN),
+    ("global", "alpha", 1e300, ALPHA_MAX),
+    ("global", "I_d", 1e300, I_D_MAX),
+    ("device", "r_p", 1e-300, R_P_MIN),
+    ("device", "T_a", 1e300, T_A_MAX),
+    ("device", "w", 1e-300, W_MIN),
+]
+
+
+def _paper9_with(tmp_path, section, key, value):
+    data = scenario_to_dict(paper9_scenario(3))
+    for entry in data["devices"] if section == "device" else [data["global"]]:
+        entry[key] = value
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "section, key, value, bound", RANGE_CASES, ids=[f"{k}={v:g}" for _, k, v, _ in RANGE_CASES]
+)
+def test_solve_rejects_value_out_of_range(tmp_path, capsys, section, key, value, bound):
+    path = _paper9_with(tmp_path, section, key, value)
+    assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and key in err and f"{bound:g}" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, bound", RANGE_CASES, ids=[f"{k}={b:g}" for _, k, _, b in RANGE_CASES]
+)
+def test_solve_at_range_bound_writes_finite_artifacts(tmp_path, section, key, value, bound):
+    path = _paper9_with(tmp_path, section, key, bound)
+    out = tmp_path / "run"
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) in (0, 3)
+
+    def reject(constant):
+        raise AssertionError(f"report.json holds {constant}")
+
+    json.loads((out / "report.json").read_text(), parse_constant=reject)
+    for name in ("prices.csv", "demands.csv", "rates.csv", "profits.csv", "equilibrium.csv"):
+        for row in read_csv(out / name)[1:]:
+            assert all(cell.lower() not in ("nan", "inf", "-inf") for cell in row), (name, row)
 
 
 def test_solve_rejects_power_grid_below_one(tmp_path, capsys):

@@ -6,13 +6,13 @@ import pytest
 from fedrelay.radio import (
     PowerLimitError,
     min_power_for_rate,
-    rates_from_matrix,
     transmission_energy_cost,
     transmission_rate,
     transmission_rates,
 )
+from fedrelay.routing import power_matrix
 from fedrelay.scenario import build_channel_matrix, random_scenario
-from support import grouped_rates_oracle, make_scenario
+from support import grouped_rates_oracle, make_scenario, rates_from_matrix
 
 
 def unit_gain_scenario(**kwargs):
@@ -47,15 +47,27 @@ def test_rates_match_grouping_oracle(rng):
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_rates_from_full_matrix_multi_entry_rows():
-    # rows with several positive entries still evaluate finitely
-    scen = make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    P = np.zeros((3, 3))
-    P[0, 1] = 0.3
-    P[0, 2] = 0.2
-    P[1, 2] = 0.5
-    rates = rates_from_matrix(P, scen)
-    assert np.all(np.isfinite(rates))
+def test_rates_equal_full_matrix_oracle_exactly(rng):
+    # all-direct plans, every device on one relay, random plans; some
+    # with zero-power rows, whose rate is NaN in both forms
+    for trial in range(240):
+        n = int(rng.integers(1, 61))
+        scen = random_scenario(n, seed=int(rng.integers(1 << 31)))
+        kind = trial % 3
+        if kind == 0:
+            targets = np.full(n, n)
+        elif kind == 1:
+            hub = int(rng.integers(n + 1))
+            targets = np.full(n, hub)
+            targets[min(hub, n - 1)] = n
+        else:
+            targets = np.array([rng.choice([t for t in range(n + 1) if t != i]) for i in range(n)])
+        powers = rng.uniform(0.0, 10.0, size=n) * 10.0 ** rng.uniform(-6.0, 0.0, size=n)
+        if trial % 2:
+            powers[rng.random(n) < 0.3] = 0.0
+        got = transmission_rates(targets, powers, scen)
+        want = rates_from_matrix(power_matrix(targets, powers, scen.n_nodes), scen)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_energy_cost_zero_power():

@@ -13,11 +13,12 @@ from fedrelay.routing import (
     indicator_from_powers,
     plan_to_indicator,
     power_matrix,
+    reach_defect,
     routing_adjacency,
     routing_lines,
     timing_violations,
 )
-from support import make_scenario, walk_reaches_ap
+from support import make_scenario, reach_defect_matrix, walk_reaches_ap
 
 # published routing map for the 9-device benchmark: 1-based child -> relay
 TABLE_ROUTING = {1: "N_D", 2: "N_D", 3: "7", 4: "N_D", 5: "4", 6: "4", 7: "N_D", 8: "N_D", 9: "N_D"}
@@ -102,6 +103,27 @@ def test_reachability_exhaustive_against_walk_oracle(n):
         targets = np.array(plan)
         I = plan_to_indicator(targets, n + 1)
         assert check_acyclic_reach(I) == walk_reaches_ap(targets, n)
+
+
+def test_reach_defect_equals_boolean_power_oracle(rng):
+    plans = 0
+    for n in (1, 2, 3, 4):
+        for plan in itertools.product(range(n + 1), repeat=n):
+            I = plan_to_indicator(np.array(plan), n + 1)
+            assert reach_defect(I) == reach_defect_matrix(I)
+            plans += 1
+    assert plans == 700
+    # arbitrary 0/1 matrices: empty rows, multi-link rows, access-point-row entries
+    kinds = {"empty": 0, "multi": 0, "ap_row": 0}
+    for _ in range(3000):
+        m = int(rng.integers(2, 12))
+        I = (rng.random((m, m)) < rng.uniform(0.0, 0.6)).astype(np.int64)
+        degrees = I[:-1].sum(axis=1)
+        kinds["empty"] += bool(np.any(degrees == 0))
+        kinds["multi"] += bool(np.any(degrees > 1))
+        kinds["ap_row"] += bool(I[-1].any())
+        assert reach_defect(I) == reach_defect_matrix(I)
+    assert min(kinds.values()) >= 500, kinds
 
 
 def test_structural_accept_iff_forest_rooted_at_ap(rng):
