@@ -3,15 +3,23 @@ exterior-point penalty, per-device best responses, and the round-robin
 dynamics that assemble the bilevel equilibrium.
 
 Each device's strategy is a triple (price, relay target, transmit
-power). Prices enter profit separably and have a closed-form optimum in
-the device's own parameters, so prices and the owner's demand are fixed
-before any link choice. Relay and power choices interact through
-interference, relay fees, and arrival deadlines, and are handled by
-discrete enumeration over targets with the deadline-matching minimal
-power per target. Constraint
-violations are priced into the objective via an increasing schedule of
-penalty coefficients, so infeasible strategies are dominated once the
+power). By design, prices and the owner's demand are fixed before the
+link dynamics: each device posts the closed-form optimum of its
+price-dependent profit, which is its best price on the direct link. On a
+relay link the arrival deadline couples price and power, so this is a
+modelling choice, not a consequence of separable profit. Relay and power
+choices interact through interference, relay fees, and arrival
+deadlines, and are handled by discrete enumeration over targets with the
+deadline-matching minimal power per target. Constraint violations are
+priced into the objective via an increasing schedule of penalty
+coefficients, so infeasible strategies are dominated once the
 coefficient is large.
+
+Each device keeps its scored candidates for the whole run. A candidate's
+profit and penalty do not depend on the penalty coefficient, so a new
+coefficient only re-ranks them; another device's move re-scores only
+the links whose target it touched, or all of them when it changes the
+device's inflow.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lower_level, radio, routing
-from .scenario import Scenario, price_floor
+from .scenario import Scenario, ScenarioError, price_floor
 
 logger = logging.getLogger(__name__)
 
@@ -291,9 +299,26 @@ def _chain_ends(targets: list[int], i: int, ap: int) -> list[int]:
 
 
 class _RelayContext:
-    """Everything device i's penalized profit needs from the others, who
-    are held fixed; built once per best response, after which a candidate
-    link (target, power) costs O(1) scalar arithmetic.
+    """Device i's relay/power best response against the others, who are
+    held fixed, kept up to date as they move.
+
+    The round-robin dynamics keep one per device for a whole run, across
+    rounds and penalty stages; `relay_power_best_response` builds one
+    fresh. Per candidate target j (every other device in ascending order,
+    then the access point) it caches the link terms that cost a
+    `min_power_for_rate` and a `log2`: the power, the profit and the
+    squared lateness. The power is the deadline-matching one on a relay
+    link and the floor p_max / power_grid on the direct link. With the
+    O(n) structural terms they give each candidate's (j, p, profit, rho);
+    neither profit nor rho depends on the penalty coefficient M, so
+    `best(M)` only re-ranks them by profit + M * rho.
+
+    `refresh` applies the others' moves: the structural terms are
+    recomputed, and a link is re-scored only when the co-target power at
+    its target changed, or every link when device i's inflow did. A
+    touched target's interference is re-summed in ascending device order,
+    never updated by differences, so every cached number equals what a
+    fresh context computes.
 
     Every other device must transmit with positive power, so every row
     of the indicator is single-link. The chain-termination defect is
@@ -302,8 +327,15 @@ class _RelayContext:
     devices whose chains end at i join them.
     """
 
-    def __init__(self, i: int, profile: StrategyProfile, demand: np.ndarray, scen: Scenario):
-        n, ap = scen.n_devices, scen.ap
+    def __init__(
+        self,
+        i: int,
+        profile: StrategyProfile,
+        demand: np.ndarray,
+        scen: Scenario,
+        power_grid: int = 50,
+    ):
+        n = scen.n_devices
         targets = profile.targets.tolist()
         powers = profile.powers.tolist()
         if not all(powers[k] > 0 for k in range(n) if k != i):
@@ -311,22 +343,60 @@ class _RelayContext:
                 f"best response of device {i} needs every other device to transmit "
                 "with positive power"
             )
-        self.H = H = scen.H
-        self.i, self.scen = i, scen
+        self.H = scen.H
+        self.i, self.scen, self.ap = i, scen, scen.ap
         self.device = d = scen.devices[i]
         self.T_s = routing.processing_times(demand, scen)
+        self.revenue = profile.prices[i] * demand[i]
+        self.processing = d.c_p * demand[i]
+        self.floor = d.p_max / power_grid
+        self.order = [j for j in range(n) if j != i] + [self.ap]
         # co-target received power per node, summed in ascending device order
         self.interference = [0.0] * scen.n_nodes
         for k in range(n):
             if k != i:
-                self.interference[targets[k]] += H[k, targets[k]] * powers[k]
-        self.inflow = sum(1 for k in range(n) if k != i and targets[k] == i)
-        self.ap_links = sum(1 for k in range(n) if k != i and targets[k] == ap)
-        self.ends = _chain_ends(targets, i, ap)
-        self.stranded = self.ends.count(_ENDS_IN_CYCLE)
-        self.through_i = self.ends.count(_ENDS_AT_I) - 1
-        self.revenue = profile.prices[i] * demand[i]
-        self.processing = d.c_p * demand[i]
+                self.interference[targets[k]] += self.H[k, targets[k]] * powers[k]
+        self.links: list[tuple[float, float, float] | None] = [None] * scen.n_nodes
+        self.inflow = -1  # unknown, so the first refresh scores every link
+        self.refresh(targets, powers, set())
+
+    def refresh(self, targets: list[int], powers: list[float], touched: set[int]) -> None:
+        """Catch up with the others' moves: `targets` and `powers` are the
+        current profile, `touched` every node whose co-target power changed
+        since the last refresh."""
+        i, ap, H = self.i, self.ap, self.H
+        inflow = self.inflow
+        self.inflow = targets.count(i)
+        ap_links = targets.count(ap) - (targets[i] == ap)
+        ends = _chain_ends(targets, i, ap)
+        stranded = ends.count(_ENDS_IN_CYCLE)
+        through_i = ends.count(_ENDS_AT_I) - 1
+        # per target node, rho of a link there before its lateness term:
+        # the chain-termination and access-point terms
+        relay_ap = max(0.0, 1.0 - ap_links) ** 2
+        reached = -2.0 * stranded - relay_ap
+        cut = -2.0 * (stranded + 1 + through_i) - relay_ap
+        self.rho_base = [reached if end == _ENDS_AT_AP else cut for end in ends]
+        self.rho_base.append(-2.0 * stranded - max(0.0, 1.0 - (ap_links + 1)) ** 2)
+
+        # re-sum the touched nodes' co-target power in ascending device order;
+        # node i's own is no candidate's and is left as it was
+        sums = {j: 0.0 for j in touched if j != i}
+        for k, t in enumerate(targets):
+            if t in sums and k != i:
+                sums[t] += H[k, t] * powers[k]
+        for j, total in sums.items():
+            self.interference[j] = total
+        # scoring every link starts at the direct one, so a zero-rate power
+        # floor stops the solve before any relay link is tried
+        for j in reversed(self.order) if self.inflow != inflow else sums:
+            self.links[j] = self._link_terms(j)
+        rho_base = self.rho_base
+        self.candidates = [
+            (j, link[0], link[1], rho_base[j] - link[2])
+            for j in self.order
+            if (link := self.links[j]) is not None
+        ]
 
     def deadline_power(self, j: int) -> float:
         """Minimal power meeting the arrival deadline at relay j against
@@ -341,29 +411,73 @@ class _RelayContext:
                 pass
         return d.p_max
 
-    def value(self, j: int, p: float, M: float) -> tuple[float, float]:
-        """Penalized profit and penalty of device i on link (j, p), p > 0:
-        `_value` of the profile with that link substituted."""
+    def _link_terms(self, j: int) -> tuple[float, float, float] | None:
+        """(power, profit, squared lateness) of device i's candidate link
+        to j; None for a relay link whose gain, power or rate is 0."""
+        if j == self.ap:
+            p = self.floor
+            terms = self._terms(j, p)
+            if terms is None:
+                raise ScenarioError(
+                    f"device {self.i} has rate 0 on its direct link at the power floor "
+                    f"p_max/power_grid = {p:.6g} (channel gain {self.H[self.i, j]:.6g}, "
+                    f"noise {self.scen.sigma2:g}); a smaller --power-grid raises the floor"
+                )
+            return (p, *terms)
+        if not self.H[self.i, j] > 0:  # rate 0 at any power
+            return None
+        p = self.deadline_power(j)
+        if not p > 0:
+            return None
+        terms = self._terms(j, p)
+        return None if terms is None else (p, *terms)
+
+    def _terms(self, j: int, p: float) -> tuple[float, float] | None:
+        """Profit and squared deadline lateness of device i on link (j, p);
+        None when the rate is not positive."""
         i, d, scen = self.i, self.device, self.scen
-        direct = j == scen.ap
         rate = d.w * math.log2(1.0 + self.H[i, j] * p / (self.interference[j] + scen.sigma2))
         if not rate > 0:
-            raise ValueError(f"device {i} transmits with non-positive rate {rate}")
+            return None
         energy = d.c_t * (scen.I_d / rate) * p
+        direct = j == self.ap
         relay_fee = scen.c_a * (0.0 if direct else 1.0)
         profit = float(
             self.revenue - energy - self.processing + scen.c_a * self.inflow - relay_fee
         )
-        stranded = self.stranded
         late = 0.0
         if not direct:
-            if self.ends[j] != _ENDS_AT_AP:
-                stranded += 1 + self.through_i
             late = float(self.T_s[i] + d.T_a * self.inflow + scen.I_d / rate - self.T_s[j])
-        rho = -2.0 * stranded
-        rho -= max(0.0, 1.0 - (self.ap_links + direct)) ** 2
-        rho -= max(0.0, late) ** 2
+        return profit, max(0.0, late) ** 2
+
+    def value(self, j: int, p: float, M: float) -> tuple[float, float]:
+        """Penalized profit and penalty of device i on link (j, p), p > 0:
+        `_value` of the profile with that link substituted."""
+        terms = self._terms(j, p)
+        if terms is None:
+            raise ValueError(f"device {self.i} transmits with non-positive rate to node {j}")
+        profit, late_sq = terms
+        rho = self.rho_base[j] - late_sq
         return profit + M * rho, rho
+
+    def best(self, M: float) -> tuple[int, float]:
+        """Highest-ranked candidate at penalty coefficient M; ties keep the
+        earlier candidate."""
+        best: tuple[int, float] | None = None
+        best_val = -math.inf
+        any_feasible = False
+        for j, p, profit, rho in self.candidates:
+            val = profit + M * rho
+            any_feasible = any_feasible or rho == 0.0
+            if val > best_val:
+                best, best_val = (j, p), val
+        assert best is not None
+        if not any_feasible:
+            logger.warning(
+                "device %d has no feasible action even at p_max; "
+                "keeping the least-penalized one (target %d)", self.i, best[0]
+            )
+        return best
 
 
 def relay_power_best_response(
@@ -378,34 +492,16 @@ def relay_power_best_response(
 
     Device targets get the minimal power meeting the arrival deadline
     against the current co-target interference (power bound when the
-    deadline is unmeetable). The direct link gets the power floor
+    deadline is unmeetable); a relay link whose power or rate rounds to 0
+    is not a candidate. The direct link gets the power floor
     p_max / power_grid: there the energy cost c_t * I_d * p / rate(p)
     strictly increases in p and nothing else in the objective depends
-    on p, so any higher power is dominated. Ranking is by penalized
-    profit; ties keep the lowest device target, with the direct link
-    ordered last. Every other device must transmit with positive power.
+    on p, so any higher power is dominated. A floor whose rate rounds
+    to 0 raises ScenarioError. Ranking is by penalized profit; ties keep
+    the lowest device target, with the direct link ordered last. Every
+    other device must transmit with positive power.
     """
-    ctx = _RelayContext(i, profile, demand, scen)
-    candidates = [(j, ctx.deadline_power(j)) for j in range(scen.n_devices) if j != i]
-    candidates.append((scen.ap, scen.devices[i].p_max / power_grid))
-
-    best: tuple[int, float] | None = None
-    best_val = -math.inf
-    any_feasible = False
-    for j, p in candidates:
-        if p <= 0:
-            continue
-        val, rho = ctx.value(j, p, M)
-        any_feasible = any_feasible or rho == 0.0
-        if val > best_val:
-            best, best_val = (j, p), val
-    assert best is not None
-    if not any_feasible:
-        logger.warning(
-            "device %d has no feasible action even at p_max; "
-            "keeping the least-penalized one (target %d)", i, best[0]
-        )
-    return best
+    return _RelayContext(i, profile, demand, scen, power_grid).best(M)
 
 
 def default_init(scen: Scenario, power_grid: int = 50) -> StrategyProfile:
@@ -455,12 +551,24 @@ def _round_robin(
     penalty schedule, re-converging at each coefficient.
 
     Prices stay at their closed-form optimum and the owner's demand at
-    its response to them. Returns the profile, the demand, the number of
-    rounds and whether the last stage settled.
+    its response to them. Each device keeps one `_RelayContext` for the
+    whole run, built at its first turn. A move is any change of a
+    device's target or of any bit of its power; the loop records each
+    move's old and new target for every other device, and a device's
+    next turn refreshes its context with the nodes that the others' moves
+    touched since its last turn. With no such move it only re-ranks its
+    cached candidates at the current coefficient. The `_P_TOL` test
+    decides only whether a device counts as changed.
+    Returns the profile, the demand, the number of rounds and whether the
+    last stage settled.
     """
     n = scen.n_devices
     profile = default_init(scen, power_grid)
     demand = lower_level.best_response_demand(profile.prices, scen)
+    contexts: list[_RelayContext | None] = [None] * n  # built at each device's first turn
+    # per device, the nodes whose co-target power the others' moves changed
+    # since its last turn: each move's old and new target
+    touched: list[set[int]] = [set() for _ in range(n)]
     device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
 
     rounds = 0
@@ -471,11 +579,21 @@ def _round_robin(
             rounds += 1
             changed = 0
             for i in device_order:
-                j_new, p_new = relay_power_best_response(i, profile, demand, scen, M, power_grid)
-                if j_new != profile.targets[i] or abs(p_new - profile.powers[i]) > _P_TOL:
+                ctx = contexts[i]
+                if ctx is None:
+                    ctx = contexts[i] = _RelayContext(i, profile, demand, scen, power_grid)
+                elif touched[i]:
+                    ctx.refresh(profile.targets.tolist(), profile.powers.tolist(), touched[i])
+                touched[i].clear()
+                j_new, p_new = ctx.best(M)
+                j_old, p_old = int(profile.targets[i]), float(profile.powers[i])
+                if j_new != j_old or abs(p_new - p_old) > _P_TOL:
                     changed += 1
-                profile.targets[i] = j_new
-                profile.powers[i] = p_new
+                if j_new != j_old or p_new != p_old:
+                    profile.targets[i], profile.powers[i] = j_new, p_new
+                    for k in range(n):
+                        if k != i:
+                            touched[k].update((j_old, j_new))
             logger.debug(
                 "%s order, M=%g, round %d: %d of %d devices changed", order, M, rounds, changed, n
             )

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own code paths: rates are
 regrouped with explicit loops or full-matrix algebra, argmaxes come from
 dense grids, and reachability is checked by walking the next-hop
-function or by boolean matrix powers.
+function or by boolean matrix powers. The round-robin oracle rebuilds
+every best response from scratch.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import math
 
 import numpy as np
 
+from fedrelay import lower_level
 from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
+from fedrelay.upper_level import _P_TOL, default_init, relay_power_best_response
 
 
 def make_device(
@@ -205,3 +208,30 @@ def grid_argmax_price(i: int, scen, step: float = 1e-6, q_lo: float | None = Non
         return (q - dev.c_p) * np.log(cb / q) / dev.accuracy.c
 
     return _concave_grid_argmax(margin, q_lo, cb, step)
+
+
+def round_robin_oracle(scen, cfg, max_iter: int, order: str, power_grid: int):
+    """The round-robin dynamics with every best response built fresh from
+    the whole profile by `relay_power_best_response`; returns what
+    `upper_level._round_robin` does: profile, demand, rounds, stable."""
+    n = scen.n_devices
+    profile = default_init(scen, power_grid)
+    demand = lower_level.best_response_demand(profile.prices, scen)
+    device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
+    rounds = 0
+    stable = False
+    for M in cfg.m_schedule:
+        stable = False
+        for _ in range(max_iter):
+            rounds += 1
+            changed = 0
+            for i in device_order:
+                j_new, p_new = relay_power_best_response(i, profile, demand, scen, M, power_grid)
+                if j_new != profile.targets[i] or abs(p_new - profile.powers[i]) > _P_TOL:
+                    changed += 1
+                profile.targets[i] = j_new
+                profile.powers[i] = p_new
+            if not changed:
+                stable = True
+                break
+    return profile, demand, rounds, stable

@@ -144,6 +144,52 @@ def test_solve_at_range_bound_writes_finite_artifacts(tmp_path, section, key, va
             assert all(cell.lower() not in ("nan", "inf", "-inf") for cell in row), (name, row)
 
 
+def _paper9_far_apart(tmp_path):
+    data = scenario_to_dict(paper9_scenario(3))
+    data["positions"] = [[x * 1e100 for x in xy] for xy in data["positions"]]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _paper9_weak_links(tmp_path):
+    """Noise, path loss and power bound each inside their range, but
+    together too weak for any link to carry a rate."""
+    data = scenario_to_dict(paper9_scenario(3))
+    data["global"].update(sigma2=1e6, alpha=6.0)
+    for entry in data["devices"]:
+        entry["p_max"] = 1e-6
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("case", ["power_grid", "weak_links", "far_apart"])
+def test_solve_zero_rate_direct_floor_exits_2(tmp_path, capsys, case):
+    if case == "power_grid":
+        source = ["--preset", "paper9", "--seed", "7", "--power-grid", "1000000000000000000"]
+    else:
+        build = _paper9_weak_links if case == "weak_links" else _paper9_far_apart
+        source = ["--scenario", str(build(tmp_path))]
+    assert main(["solve", *source, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: device" in err and "rate 0" in err and "--power-grid" in err
+    assert "Traceback" not in err
+
+
+def test_solve_large_power_grid_writes_finite_artifacts(tmp_path):
+    out = tmp_path / "run"
+    argv = ["solve", "--preset", "paper9", "--seed", "7", "--power-grid", "100000000000000"]
+    assert main([*argv, "--out", str(out)]) in (0, 3)
+
+    def reject(constant):
+        raise AssertionError(f"report.json holds {constant}")
+
+    json.loads((out / "report.json").read_text(), parse_constant=reject)
+    for row in read_csv(out / "equilibrium.csv")[1:]:
+        assert all(cell.lower() not in ("nan", "inf", "-inf") for cell in row), row
+
+
 def test_solve_rejects_power_grid_below_one(tmp_path, capsys):
     code = main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(tmp_path / "run"),
                  "--power-grid", "0"])

@@ -27,7 +27,14 @@ from fedrelay.upper_level import (
     _round_robin,
     _value,
 )
-from support import grid_argmax_price, make_device, make_scenario, profit_oracle
+from fedrelay import radio
+from support import (
+    grid_argmax_price,
+    make_device,
+    make_scenario,
+    profit_oracle,
+    round_robin_oracle,
+)
 
 M_FINAL = PenaltyConfig().m_schedule[-1]
 # slow, heterogeneous processing rates open arrival windows, so relays pay
@@ -704,6 +711,140 @@ def test_report_dict_round_trip(paper9_report):
     assert back.owner_utility == paper9_report.owner_utility
     assert back.converged == paper9_report.converged
     assert back.order_robust == paper9_report.order_robust
+
+
+def exactness_runs():
+    """(label, scenario, max_iter, order) runs of the dynamics: paper9 seeds
+    0-11 in both orders; random instances with n = 2..16 under both specs
+    at max_iter 1 and 8, mostly in both orders, and at max_iter 100 in one;
+    and a relay-spec instance that cycles through all 100 rounds of its
+    stages. Relay-spec runs with n > 12 are the slowest for the oracle, so
+    they run fewer times."""
+    runs = [
+        (f"paper9 seed {s}", paper9_scenario(s), 100, order)
+        for s in range(12) for order in ("forward", "reverse")
+    ]
+    for n in range(2, 17):
+        for label, spec in (("default", RandomSpec()), ("relay", RELAY_SPEC)):
+            scen = random_scenario(n, seed=n, spec=spec)
+            slow = label == "relay" and n > 12
+            runs += [
+                (f"{label} n={n}", scen, max_iter, order)
+                for max_iter in (1, 8) for order in ("forward", "reverse")
+                if not (slow and max_iter == 8 and order == "reverse")
+            ]
+            if not slow:
+                runs.append((f"{label} n={n}", scen, 100, ("forward", "reverse")[n % 2]))
+    runs.append(("relay n=6 seed 1", random_scenario(6, seed=1, spec=RELAY_SPEC), 100, "forward"))
+    return runs
+
+
+def test_round_robin_equals_fresh_best_response_oracle():
+    cfg = PenaltyConfig()
+    runs = exactness_runs()
+    cycled = 0
+    for label, scen, max_iter, order in runs:
+        got = _round_robin(scen, cfg, max_iter, order, 50)
+        want = round_robin_oracle(scen, cfg, max_iter, order, 50)
+        where = (label, max_iter, order)
+        assert np.array_equal(got[0].targets, want[0].targets), where
+        assert np.array_equal(got[0].powers, want[0].powers), where
+        assert np.array_equal(got[1], want[1]), where
+        assert got[2:] == want[2:], where
+        cycled += max_iter == 100 and not got[3]
+    assert len(runs) >= 120
+    assert cycled >= 1
+
+
+def _move(rng, scen, targets, powers, i):
+    """One random move of a random device; returns the nodes whose
+    co-target power it changes as device i sees them (none for i's own)."""
+    n, ap = scen.n_devices, scen.ap
+    k = int(rng.integers(n))
+    old = int(targets[k])
+    kind = rng.choice(["power", "target", "into_i", "out_of_i", "to_ap", "from_ap"])
+    new = old
+    if kind == "target":
+        new = int(rng.choice([t for t in range(n + 1) if t != k]))
+    elif kind == "into_i" and k != i:
+        new = i
+    elif kind == "out_of_i" and old == i:
+        new = int(rng.choice([t for t in range(n + 1) if t not in (k, i)]))
+    elif kind == "to_ap":
+        new = ap
+    elif kind == "from_ap" and old == ap:
+        new = int(rng.choice([t for t in range(n) if t != k]))
+    targets[k] = new
+    if kind == "power" or rng.random() < 0.5:
+        powers[k] = float(rng.uniform(1e-3, 1.0)) * scen.devices[k].p_max
+    return set() if k == i else {old, new}
+
+
+def test_relay_context_refresh_equals_fresh_context():
+    rng = np.random.default_rng(4409)
+    seen = dict.fromkeys(("inflow_changed", "ap_touched", "power_only", "own_move"), 0)
+    for trial in range(60):
+        n = int(rng.integers(2, 10))
+        spec = RELAY_SPEC if trial % 2 else RandomSpec()
+        scen = random_scenario(n, seed=int(rng.integers(1 << 31)), spec=spec)
+        profile = random_profile(rng, scen)
+        demand = best_response_demand(profile.prices, scen)
+        i = int(rng.integers(n))
+        ctx = _RelayContext(i, profile, demand, scen)
+        targets, powers = profile.targets.tolist(), profile.powers.tolist()
+        for _ in range(30):
+            touched = set()
+            for _ in range(int(rng.integers(1, 4))):
+                before = (targets.count(i), list(targets), list(powers))
+                touched |= _move(rng, scen, targets, powers, i)
+                seen["inflow_changed"] += targets.count(i) != before[0]
+                seen["ap_touched"] += scen.ap in touched
+                seen["power_only"] += targets == before[1] and powers != before[2]
+                seen["own_move"] += targets[i] != before[1][i]
+            if touched:
+                ctx.refresh(targets, powers, touched)
+            fresh = _RelayContext(
+                i, StrategyProfile(profile.prices, targets, powers), demand, scen
+            )
+            others = [j for j in range(scen.n_nodes) if j != i]  # no candidate targets i
+            assert [ctx.interference[j] for j in others] == [fresh.interference[j] for j in others]
+            assert ctx.links == fresh.links
+            assert ctx.candidates == fresh.candidates
+    assert min(seen.values()) >= 20, seen
+
+
+def test_solve_rescores_only_touched_links(monkeypatch):
+    calls = 0
+    original = radio.min_power_for_rate
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(radio, "min_power_for_rate", counted)
+    solve_stackelberg(paper9_scenario(7))
+    # rebuilding every candidate at every best response made 607 calls
+    assert 0 < calls <= 303
+
+
+@pytest.mark.parametrize("far", [1e30, 1e200])
+def test_relay_br_drops_zero_rate_relay_links(far):
+    # the slow relay 1 leaves device 0 a deadline window, but sits so far
+    # off that its rate rounds to 0 (far = 1e30) or its gain is 0 (1e200)
+    with np.errstate(over="ignore"):  # squared distances overflow to inf at 1e200
+        scen = make_scenario([[1.0, 0.0], [far, 0.0], [0.0, 0.0]],
+                             devices=relayable_scenario().devices)
+        assert (scen.H[0, 1] == 0.0) == (far == 1e200)
+    profile = default_init(scen)
+    demand = best_response_demand(profile.prices, scen)
+    ctx = _RelayContext(0, profile, demand, scen)
+    assert routing.processing_times(demand, scen)[1] > routing.processing_times(demand, scen)[0]
+    assert ctx.links[1] is None
+    assert [c[0] for c in ctx.candidates] == [scen.ap]
+    assert relay_power_best_response(0, profile, demand, scen, M_FINAL)[0] == scen.ap
+    with pytest.raises(ValueError, match="non-positive rate"):
+        ctx.value(1, scen.devices[0].p_max, M_FINAL)
 
 
 def test_round_robin_logs_one_debug_record_per_round(caplog):
