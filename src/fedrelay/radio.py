@@ -17,15 +17,20 @@ from .scenario import Scenario
 
 
 class PowerLimitError(ValueError):
-    """Required transmit power exceeds the device's bound."""
+    """Required transmit power exceeds the device's bound.
+
+    The solver raises one for every unmeetable deadline and catches it,
+    so the message is formatted only when asked for.
+    """
 
     def __init__(self, device: int, required: float, p_max: float):
-        super().__init__(
-            f"device {device} needs power {required:.6g} > p_max {p_max:.6g}"
-        )
+        super().__init__(device, required, p_max)
         self.device = device
         self.required = required
         self.p_max = p_max
+
+    def __str__(self) -> str:
+        return f"device {self.device} needs power {self.required:.6g} > p_max {self.p_max:.6g}"
 
 
 def transmission_rates(targets: np.ndarray, powers: np.ndarray, scen: Scenario) -> np.ndarray:

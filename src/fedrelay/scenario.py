@@ -170,8 +170,17 @@ class Scenario:
 
 
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    """Pairwise node distances; ScenarioError when a squared distance
+    overflows, which takes coordinates about 1e154 apart."""
+    try:
+        with np.errstate(over="raise"):
+            diff = positions[:, None, :] - positions[None, :, :]
+            squared = (diff**2).sum(axis=2)
+    except FloatingPointError:
+        raise ScenarioError(
+            "node positions are too far apart: a squared distance overflows"
+        ) from None
+    return np.sqrt(squared)
 
 
 def _price_floor(cb: np.ndarray) -> float:
@@ -222,6 +231,11 @@ class RandomSpec:
             mean, std = getattr(self, name)
             _check(f"std of {name}", std, 0.0, at_least=True)
             _check(f"mean of {name}", mean, 0.0)
+
+
+# Slow, heterogeneous processing rates: they open arrival windows, so relays
+# pay. The relay regime of the tests, the digest runs and the benchmark.
+RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 
 
 def _seeded_scenario(

@@ -19,7 +19,8 @@ Each device keeps its scored candidates for the whole run. A candidate's
 profit and penalty do not depend on the penalty coefficient, so a new
 coefficient only re-ranks them; another device's move re-scores only
 the links whose target it touched, or all of them when it changes the
-device's inflow.
+device's inflow. The equilibrium certificate takes each device's best
+response from the same candidates.
 """
 
 from __future__ import annotations
@@ -303,15 +304,16 @@ class _RelayContext:
     held fixed, kept up to date as they move.
 
     The round-robin dynamics keep one per device for a whole run, across
-    rounds and penalty stages; `relay_power_best_response` builds one
-    fresh. Per candidate target j (every other device in ascending order,
-    then the access point) it caches the link terms that cost a
-    `min_power_for_rate` and a `log2`: the power, the profit and the
-    squared lateness. The power is the deadline-matching one on a relay
-    link and the floor p_max / power_grid on the direct link. With the
-    O(n) structural terms they give each candidate's (j, p, profit, rho);
-    neither profit nor rho depends on the penalty coefficient M, so
-    `best(M)` only re-ranks them by profit + M * rho.
+    rounds and penalty stages, and the run's certificate reuses it;
+    `relay_power_best_response` builds one fresh. Per candidate target j
+    (every other device in ascending order, then the access point) it
+    caches the link terms that cost a `min_power_for_rate` and a `log2`:
+    the power, the profit and the squared lateness. The power is the
+    deadline-matching one on a relay link and the floor p_max /
+    power_grid on the direct link. With the O(n) structural terms they
+    give each candidate's (j, p, profit, rho); neither profit nor rho
+    depends on the penalty coefficient M, so `best(M)` only re-ranks them
+    by profit + M * rho.
 
     `refresh` applies the others' moves: the structural terms are
     recomputed, and a link is re-scored only when the co-target power at
@@ -507,11 +509,51 @@ def relay_power_best_response(
 def default_init(scen: Scenario, power_grid: int = 50) -> StrategyProfile:
     """Everyone direct to the access point at the lowest grid power,
     prices at their closed-form optimum."""
-    n = scen.n_devices
-    prices = np.array([price_best_response(i, scen) for i in range(n)])
-    targets = np.full(n, scen.ap, dtype=int)
+    prices = np.array([price_best_response(i, scen) for i in range(scen.n_devices)])
+    return _direct_start(prices, scen, power_grid)
+
+
+def _direct_start(prices: np.ndarray, scen: Scenario, power_grid: int) -> StrategyProfile:
+    """Everyone direct to the access point at the lowest grid power, at `prices`."""
+    targets = np.full(scen.n_devices, scen.ap, dtype=int)
     powers = scen.param("p_max") / power_grid
     return StrategyProfile(prices, targets, powers)
+
+
+class _RunContexts:
+    """Each device's `_RelayContext` over one run of the dynamics on a
+    shared, mutable profile, built at the device's first use.
+
+    Per device it keeps the nodes whose co-target power the others'
+    moves changed since its last use: each move's old and new target.
+    """
+
+    def __init__(
+        self, profile: StrategyProfile, demand: np.ndarray, scen: Scenario, power_grid: int
+    ):
+        n = scen.n_devices
+        self.profile, self.demand, self.scen, self.power_grid = profile, demand, scen, power_grid
+        self._contexts: list[_RelayContext | None] = [None] * n
+        self._touched: list[set[int]] = [set() for _ in range(n)]
+
+    def context(self, i: int) -> _RelayContext:
+        """Device i's context, caught up with every move since its last use."""
+        ctx = self._contexts[i]
+        if ctx is None:
+            ctx = self._contexts[i] = _RelayContext(
+                i, self.profile, self.demand, self.scen, self.power_grid
+            )
+        elif self._touched[i]:
+            profile = self.profile
+            ctx.refresh(profile.targets.tolist(), profile.powers.tolist(), self._touched[i])
+        self._touched[i].clear()
+        return ctx
+
+    def moved(self, i: int, j_old: int, j_new: int) -> None:
+        """Record a move of device i from target j_old to j_new."""
+        for k, touched in enumerate(self._touched):
+            if k != i:
+                touched.update((j_old, j_new))
 
 
 def unilateral_gains(
@@ -519,56 +561,83 @@ def unilateral_gains(
     scen: Scenario,
     M: float,
     power_grid: int = 50,
+    *,
+    contexts: _RunContexts | None = None,
 ) -> np.ndarray:
     """Best-response improvement available to each device at a profile.
 
-    Re-runs the price and the relay/power best responses once per device
-    and measures the penalized-profit gain of the better of the two.
+    Takes the closed-form price and the relay/power best response of
+    each device as its two unilateral deviations, and measures with
+    `_value` the penalized-profit gain of the better of the two. A
+    deviation equal to the device's current strategy would score exactly
+    the current value, so it is not scored; a device whose deviations
+    both equal its strategy gains 0.
+
+    `contexts` holds the per-device contexts of the dynamics run that
+    ended at `profile`; each device's best response then comes from its
+    own context, caught up with the moves since its last turn, which
+    equals a fresh context's bit for bit; they must be that run's, on
+    this very profile, scenario and power grid. Without them every
+    context is built fresh from the profile.
     """
-    n = scen.n_devices
-    demand = lower_level.best_response_demand(profile.prices, scen)
-    gains = np.zeros(n)
-    for i in range(n):
-        base, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
+    if contexts is None:
+        demand = lower_level.best_response_demand(profile.prices, scen)
+        contexts = _RunContexts(profile, demand, scen, power_grid)
+    elif not (
+        contexts.profile is profile and contexts.scen is scen and contexts.power_grid == power_grid
+    ):
+        raise ValueError("contexts belong to another run than this profile")
+    prices, targets, powers = profile.prices, profile.targets, profile.powers
+    demand = contexts.demand
+    gains = np.zeros(scen.n_devices)
+    for i in range(scen.n_devices):
         q_alt = price_best_response(i, scen)
-        prices_alt = profile.prices.copy()
-        prices_alt[i] = q_alt
-        demand_alt = lower_level.best_response_demand(prices_alt, scen)
-        val_q, _ = _value(i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M)
-        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M, power_grid)
-        targets_alt = profile.targets.copy()
-        powers_alt = profile.powers.copy()
-        targets_alt[i], powers_alt[i] = j_alt, p_alt
-        val_jp, _ = _value(i, profile.prices, targets_alt, powers_alt, demand, scen, M)
+        j_alt, p_alt = contexts.context(i).best(M)
+        same_q = q_alt == prices[i]
+        same_link = j_alt == targets[i] and p_alt == powers[i]
+        if same_q and same_link:
+            continue
+        base, _ = _value(i, prices, targets, powers, demand, scen, M)
+        val_q = val_jp = base
+        if not same_q:
+            prices_alt = prices.copy()
+            prices_alt[i] = q_alt
+            demand_alt = lower_level.best_response_demand(prices_alt, scen)
+            val_q, _ = _value(i, prices_alt, targets, powers, demand_alt, scen, M)
+        if not same_link:
+            targets_alt = targets.copy()
+            powers_alt = powers.copy()
+            targets_alt[i], powers_alt[i] = j_alt, p_alt
+            val_jp, _ = _value(i, prices, targets_alt, powers_alt, demand, scen, M)
         gains[i] = max(val_q, val_jp) - base
     return gains
 
 
 def _round_robin(
-    scen: Scenario, cfg: PenaltyConfig, max_iter: int, order: str, power_grid: int
-) -> tuple[StrategyProfile, np.ndarray, int, bool]:
-    """Round-robin relay/power best responses from `default_init` over the
-    penalty schedule, re-converging at each coefficient.
+    scen: Scenario,
+    cfg: PenaltyConfig,
+    max_iter: int,
+    order: str,
+    power_grid: int,
+    profile: StrategyProfile,
+) -> tuple[StrategyProfile, np.ndarray, int, bool, _RunContexts]:
+    """Round-robin relay/power best responses from `profile`, updated in
+    place, over the penalty schedule, re-converging at each coefficient.
 
-    Prices stay at their closed-form optimum and the owner's demand at
-    its response to them. Each device keeps one `_RelayContext` for the
-    whole run, built at its first turn. A move is any change of a
-    device's target or of any bit of its power; the loop records each
-    move's old and new target for every other device, and a device's
-    next turn refreshes its context with the nodes that the others' moves
-    touched since its last turn. With no such move it only re-ranks its
-    cached candidates at the current coefficient. The `_P_TOL` test
-    decides only whether a device counts as changed.
-    Returns the profile, the demand, the number of rounds and whether the
-    last stage settled.
+    Prices stay at their starting values and the owner's demand at its
+    response to them. Each device keeps one `_RelayContext` for the whole
+    run, built at its first turn. A move is any change of a device's
+    target or of any bit of its power; a device's next turn refreshes its
+    context with the nodes that the others' moves touched since its last
+    turn. With no such move it only re-ranks its cached candidates at the
+    current coefficient. The `_P_TOL` test decides only whether a device
+    counts as changed.
+    Returns the profile, the demand, the number of rounds, whether the
+    last stage settled, and the run's contexts.
     """
     n = scen.n_devices
-    profile = default_init(scen, power_grid)
     demand = lower_level.best_response_demand(profile.prices, scen)
-    contexts: list[_RelayContext | None] = [None] * n  # built at each device's first turn
-    # per device, the nodes whose co-target power the others' moves changed
-    # since its last turn: each move's old and new target
-    touched: list[set[int]] = [set() for _ in range(n)]
+    contexts = _RunContexts(profile, demand, scen, power_grid)
     device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
 
     rounds = 0
@@ -579,21 +648,13 @@ def _round_robin(
             rounds += 1
             changed = 0
             for i in device_order:
-                ctx = contexts[i]
-                if ctx is None:
-                    ctx = contexts[i] = _RelayContext(i, profile, demand, scen, power_grid)
-                elif touched[i]:
-                    ctx.refresh(profile.targets.tolist(), profile.powers.tolist(), touched[i])
-                touched[i].clear()
-                j_new, p_new = ctx.best(M)
+                j_new, p_new = contexts.context(i).best(M)
                 j_old, p_old = int(profile.targets[i]), float(profile.powers[i])
                 if j_new != j_old or abs(p_new - p_old) > _P_TOL:
                     changed += 1
                 if j_new != j_old or p_new != p_old:
                     profile.targets[i], profile.powers[i] = j_new, p_new
-                    for k in range(n):
-                        if k != i:
-                            touched[k].update((j_old, j_new))
+                    contexts.moved(i, j_old, j_new)
             logger.debug(
                 "%s order, M=%g, round %d: %d of %d devices changed", order, M, rounds, changed, n
             )
@@ -602,7 +663,7 @@ def _round_robin(
                 break
         if not stable:
             logger.warning("dynamics did not settle within %d rounds at M=%g", max_iter, M)
-    return profile, demand, rounds, stable
+    return profile, demand, rounds, stable, contexts
 
 
 def best_response_dynamics(
@@ -616,17 +677,21 @@ def best_response_dynamics(
     schedule, and the report at the profile it ends on.
 
     Every device starts direct to the access point with its price at the
-    closed-form optimum, which no later round changes; each round updates
-    every device's (target, power) link against the fixed demand. The
-    schedule re-converges the dynamics at each penalty coefficient.
-    Non-convergence is reported, never raised.
+    closed-form optimum (`default_init`), which no later round changes;
+    each round updates every device's
+    (target, power) link against the fixed demand. The schedule
+    re-converges the dynamics at each penalty coefficient. The
+    certificate reuses the run's per-device contexts. Non-convergence is
+    reported, never raised.
     """
     cfg = cfg or PenaltyConfig()
-    profile, demand, rounds, stable = _round_robin(scen, cfg, max_iter, "forward", power_grid)
+    profile, demand, rounds, stable, contexts = _round_robin(
+        scen, cfg, max_iter, "forward", power_grid, default_init(scen, power_grid)
+    )
     n = scen.n_devices
     M_final = cfg.m_schedule[-1]
     gain = float(np.max(np.maximum(
-        unilateral_gains(profile, scen, M_final, power_grid), 0.0
+        unilateral_gains(profile, scen, M_final, power_grid, contexts=contexts), 0.0
     ), initial=0.0))
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
     profits = np.array([
@@ -663,16 +728,19 @@ def solve_stackelberg(
     and owner utility at the resulting profile.
 
     With order_check the round-robin loop also runs in reverse device
-    order, and the report records whether both orders reach the same
-    targets and powers (prices are fixed before either run); the report
-    itself describes the forward profile only.
+    order, from the same start as the forward run (its prices are the
+    forward report's, so they are not solved for again), and the report records
+    whether both orders reach the same targets and powers (prices are
+    fixed before either run); the report itself describes the forward
+    profile only.
     """
     cfg = cfg or PenaltyConfig()
     report = best_response_dynamics(
         scen, cfg, eps_nash=eps_nash, max_iter=max_iter, power_grid=power_grid
     )
     if order_check:
-        alt, _, _, _ = _round_robin(scen, cfg, max_iter, "reverse", power_grid)
+        start = _direct_start(report.prices.copy(), scen, power_grid)
+        alt, *_ = _round_robin(scen, cfg, max_iter, "reverse", power_grid, start)
         report.order_robust = bool(
             np.array_equal(alt.targets, report.targets)
             and np.allclose(alt.powers, report.powers, rtol=0, atol=1e-9)

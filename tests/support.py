@@ -3,8 +3,8 @@
 The oracles deliberately avoid the library's own code paths: rates are
 regrouped with explicit loops or full-matrix algebra, argmaxes come from
 dense grids, and reachability is checked by walking the next-hop
-function or by boolean matrix powers. The round-robin oracle rebuilds
-every best response from scratch.
+function or by boolean matrix powers. The round-robin and certificate
+oracles rebuild every best response from scratch.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ import numpy as np
 
 from fedrelay import lower_level
 from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
-from fedrelay.upper_level import _P_TOL, default_init, relay_power_best_response
+from fedrelay.upper_level import (
+    _P_TOL,
+    _value,
+    default_init,
+    price_best_response,
+    relay_power_best_response,
+)
 
 
 def make_device(
@@ -235,3 +241,24 @@ def round_robin_oracle(scen, cfg, max_iter: int, order: str, power_grid: int):
                 stable = True
                 break
     return profile, demand, rounds, stable
+
+
+def unilateral_gains_oracle(profile, scen, M: float, power_grid: int = 50) -> np.ndarray:
+    """The equilibrium certificate scored in full: per device, `_value` of
+    the profile, of the closed-form price deviation and of a fresh
+    relay/power best response, and the gain of the better deviation."""
+    demand = lower_level.best_response_demand(profile.prices, scen)
+    gains = np.zeros(scen.n_devices)
+    for i in range(scen.n_devices):
+        base, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
+        prices_alt = profile.prices.copy()
+        prices_alt[i] = price_best_response(i, scen)
+        demand_alt = lower_level.best_response_demand(prices_alt, scen)
+        val_q, _ = _value(i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M)
+        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M, power_grid)
+        targets_alt = profile.targets.copy()
+        powers_alt = profile.powers.copy()
+        targets_alt[i], powers_alt[i] = j_alt, p_alt
+        val_jp, _ = _value(i, profile.prices, targets_alt, powers_alt, demand, scen, M)
+        gains[i] = max(val_q, val_jp) - base
+    return gains

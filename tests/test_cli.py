@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from fedrelay.scenario import (
     ALPHA_MAX,
     I_D_MAX,
     P_MAX_MIN,
+    RELAY_SPEC,
     R_P_MIN,
     SIGMA2_MAX,
     SIGMA2_MIN,
     T_A_MAX,
     W_MIN,
-    RandomSpec,
     paper9_scenario,
     random_scenario,
     save_scenario,
@@ -177,6 +178,22 @@ def test_solve_zero_rate_direct_floor_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def test_solve_overflowing_positions_exit_2(tmp_path, capsys):
+    # coordinates near 1e200 square past the largest float
+    data = scenario_to_dict(paper9_scenario(3))
+    data["positions"] = [[x * 1e200 for x in xy] for xy in data["positions"]]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "invalid config: node positions are too far apart" in err
+    assert "Traceback" not in err
+
+
 def test_solve_large_power_grid_writes_finite_artifacts(tmp_path):
     out = tmp_path / "run"
     argv = ["solve", "--preset", "paper9", "--seed", "7", "--power-grid", "100000000000000"]
@@ -289,7 +306,7 @@ def test_solve_scenario_file_relay_topology(tmp_path):
 def test_solve_nonconverged_exit_code(tmp_path):
     # one round per penalty stage leaves this relay instance short of an
     # equilibrium (its certificate gain is about 8.5e-4)
-    scen = dataclasses.replace(random_scenario(9, 1, RandomSpec(r_p=(5.0, 4.0))), I_d=0.1)
+    scen = dataclasses.replace(random_scenario(9, 1, RELAY_SPEC), I_d=0.1)
     path = tmp_path / "scenario.json"
     save_scenario(scen, path)
     out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -126,9 +127,15 @@ def test_min_power_signals_infeasible():
     with pytest.raises(PowerLimitError) as exc:
         min_power_for_rate(0, 1, 10.0, 0.0, scen)
     assert exc.value.required > exc.value.p_max
+    assert exc.value.device == 0
+    assert str(exc.value) == f"device 0 needs power {exc.value.required:.6g} > p_max 1"
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert (copy.device, copy.required, copy.p_max) == (0, exc.value.required, 1.0)
+    assert str(copy) == str(exc.value)
     with pytest.raises(PowerLimitError) as exc:
         min_power_for_rate(0, 1, 5000.0, 0.0, scen)
     assert exc.value.required == math.inf
+    assert str(exc.value) == "device 0 needs power inf > p_max 1"
 
 
 def test_min_power_rejects_bad_args():

@@ -24,6 +24,8 @@ from pathlib import Path
 from fedrelay.cli import main
 from fedrelay.scenario import RandomSpec, random_scenario, save_scenario
 
+# `scenario.RELAY_SPEC`, written out: the digest also runs against checkouts
+# that predate the constant.
 RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 MASK = "<tmp>"
 

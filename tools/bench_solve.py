@@ -1,10 +1,14 @@
 """Time `solve_stackelberg` end to end on the ROADMAP's solve instances.
 
 Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40 and 80
-with the default settings (order check and certificate included), three
-times each, and prints one JSON object: per instance the median CPU time
-(`time.process_time`) with the three samples, the rounds (`iterations`)
-and `converged`, and the machine it ran on. Run it against a checkout:
+with the default settings (order check and certificate included), and
+runs a 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
+`random_scenario(9, 0, RELAY_SPEC)`, solved as `fedrelay sweep` does,
+without the order check. Each instance runs three times. Prints one
+JSON object: per instance the median CPU time (`time.process_time`)
+with the three samples, the rounds (`iterations`, summed over a sweep's
+points) and `converged` (all of a sweep's points), and the machine it
+ran on. Run it against a checkout:
 
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
@@ -14,6 +18,7 @@ such a pair.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -26,16 +31,36 @@ from pathlib import Path
 import numpy as np
 
 import fedrelay
-from fedrelay.scenario import paper9_scenario, random_scenario
+from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
 from fedrelay.upper_level import solve_stackelberg
 
+# `scenario.RELAY_SPEC`, written out: the harness also runs against checkouts
+# that predate the constant.
+RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 REPEATS = 3
+SWEEP_I_D = (0.05, 0.1, 0.2, 0.4)
+
+
+def solve(scen):
+    """One solve with the default settings: (rounds, converged)."""
+    report = solve_stackelberg(scen)
+    return report.iterations, report.converged
+
+
+def sweep(scen):
+    """The I_d sweep over `scen`: (total rounds, all converged)."""
+    reports = [
+        solve_stackelberg(dataclasses.replace(scen, I_d=v), order_check=False) for v in SWEEP_I_D
+    ]
+    return sum(r.iterations for r in reports), all(r.converged for r in reports)
 
 
 def instances():
-    yield "paper9 seed 7", paper9_scenario(7)
+    """(name, scenario, run) triples; `run` returns (rounds, converged)."""
+    yield "paper9 seed 7", paper9_scenario(7), solve
     for n in (20, 40, 80):
-        yield f"random n={n} seed 1", random_scenario(n, 1)
+        yield f"random n={n} seed 1", random_scenario(n, 1), solve
+    yield "relay n=9 seed 0 I_d sweep", random_scenario(9, 0, RELAY_SPEC), sweep
 
 
 def cpu_model() -> str:
@@ -65,19 +90,19 @@ def git_commit(path: Path) -> str:
 def main() -> None:
     logging.disable(logging.WARNING)  # non-settling stages warn; the report says so
     results = []
-    for name, scen in instances():
+    for name, scen, run in instances():
         samples = []
         for _ in range(REPEATS):
             start = time.process_time()
-            report = solve_stackelberg(scen)
+            iterations, converged = run(scen)
             samples.append(time.process_time() - start)
         results.append({
             "instance": name,
             "n": scen.n_devices,
             "cpu_s_median": statistics.median(samples),
             "cpu_s": samples,
-            "iterations": report.iterations,
-            "converged": report.converged,
+            "iterations": iterations,
+            "converged": converged,
         })
     package = Path(fedrelay.__file__).resolve().parent
     machine = {
