@@ -137,6 +137,14 @@ class Scenario:
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")
+        try:
+            with np.errstate(over="raise"):
+                d[off] ** self.alpha  # the path loss of build_channel_matrix
+        except FloatingPointError:
+            raise ScenarioError(
+                f"node positions are too far apart for path-loss exponent alpha = "
+                f"{self.alpha:g}: a distance ** alpha overflows"
+            ) from None
 
     @cached_property
     def H(self) -> np.ndarray:

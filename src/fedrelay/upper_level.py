@@ -15,18 +15,26 @@ priced into the objective via an increasing schedule of penalty
 coefficients, so infeasible strategies are dominated once the
 coefficient is large.
 
-Each device keeps its scored candidates for the whole run. A candidate's
-profit and penalty do not depend on the penalty coefficient, so a new
-coefficient only re-ranks them; another device's move re-scores only
-the links whose target it touched, or all of them when it changes the
-device's inflow. The equilibrium certificate takes each device's best
-response from the same candidates.
+A run of the dynamics keeps one shared state: the targets and powers,
+the co-target power at each node, and the profile's structure (each
+node's children, and whether each device's chain reaches the access
+point), updated once per move. Each device keeps its scored candidates
+on that state for the whole run. A candidate's profit and penalty do
+not depend on the penalty coefficient, so a new coefficient only
+re-ranks them; another device's move re-scores only the links whose
+target it touched, or all of them when it changes the device's inflow.
+A link's terms are a pure function of its target, the device's inflow
+and the interference there, so the forward run, its certificate and the
+reverse-order run of one solve share a cache of them and score no link
+twice. The equilibrium certificate takes each device's best response
+from the forward run's candidates.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,61 +280,48 @@ def price_best_response(i: int, scen: Scenario) -> float:
     return min(max(0.5 * (lo + hi), q_lo), q_hi)
 
 
-# Where a device's forwarding chain ends once device i's own link is cut.
-_ENDS_AT_AP, _ENDS_AT_I, _ENDS_IN_CYCLE = 0, 1, 2
-
-
-def _chain_ends(targets: list[int], i: int, ap: int) -> list[int]:
-    """Label each device by where its forwarding chain ends when device i
-    is a terminal: the access point, device i, or a cycle avoiding i.
-    Device i itself is labelled _ENDS_AT_I."""
-    n = len(targets)
-    walking = -1  # label of the nodes on the walk in progress
-    ends: list[int | None] = [None] * n
-    ends[i] = _ENDS_AT_I
-    for k in range(n):
-        path = []
-        node = k
-        while node != ap and ends[node] is None:
-            ends[node] = walking
-            path.append(node)
-            node = targets[node]
-        end = _ENDS_AT_AP if node == ap else ends[node]
-        if end == walking:
-            end = _ENDS_IN_CYCLE
-        for m in path:
-            ends[m] = end
-    return ends
+# a link-term cache entry that was never scored, as opposed to a link scored as None
+_UNSCORED = object()
 
 
 class _RelayContext:
     """Device i's relay/power best response against the others, who are
     held fixed, kept up to date as they move.
 
-    The round-robin dynamics keep one per device for a whole run, across
-    rounds and penalty stages, and the run's certificate reuses it;
-    `relay_power_best_response` builds one fresh. Per candidate target j
-    (every other device in ascending order, then the access point) it
-    caches the link terms that cost a `min_power_for_rate` and a `log2`:
-    the power, the profit and the squared lateness. The power is the
-    deadline-matching one on a relay link and the floor p_max /
-    power_grid on the direct link. With the O(n) structural terms they
-    give each candidate's (j, p, profit, rho); neither profit nor rho
-    depends on the penalty coefficient M, so `best(M)` only re-ranks them
-    by profit + M * rho.
+    It reads the others' strategies from a `_RunContexts` run state: the
+    dynamics keep one context per device on their run's state for the
+    whole run, across rounds and penalty stages, and the run's
+    certificate reuses it; built without a run (as
+    `relay_power_best_response` does) it makes a run state of its own.
 
-    `refresh` applies the others' moves: the structural terms are
-    recomputed, and a link is re-scored only when the co-target power at
-    its target changed, or every link when device i's inflow did. A
-    touched target's interference is re-summed in ascending device order,
-    never updated by differences, so every cached number equals what a
-    fresh context computes.
+    Per candidate target j (every other device in ascending order, then
+    the access point) it holds the link terms that cost a
+    `min_power_for_rate` and a `log2`: the power, the profit and the
+    squared lateness. The power is the deadline-matching one on a relay
+    link and the floor p_max / power_grid on the direct link. Given the
+    scenario, the prices, the demand and the floor, the terms of link j
+    depend only on device i's inflow and the co-target interference at
+    j, so they are looked up in the run's per-device cache under
+    (j, inflow, interference) and computed only on a miss. With the
+    structural terms they give each candidate's (j, p, profit, rho);
+    neither profit nor rho depends on the penalty coefficient M, so
+    `best(M)` only re-ranks them by profit + M * rho.
+
+    The run's `context(i)` catches the context up with the others' moves.
+    `refresh` looks a link up again only when the co-target power at its
+    target changed, or every link when device i's inflow did. The
+    interference at j is the run's co-target sum there, except at device
+    i's own current target, where it is re-summed in ascending device
+    order without device i; so every number equals what a fresh context
+    computes, bit for bit.
 
     Every other device must transmit with positive power, so every row
     of the indicator is single-link. The chain-termination defect is
     then twice the number of devices whose chain never reaches the
-    access point, and device i's link decides only whether i and the
-    devices whose chains end at i join them.
+    access point, and device i's link decides only whether i and its
+    ancestors (the devices whose chains pass through i) join them.
+    `restructure` takes these terms from the run's labels whenever a
+    move changed a target.
     """
 
     def __init__(
@@ -336,66 +331,96 @@ class _RelayContext:
         demand: np.ndarray,
         scen: Scenario,
         power_grid: int = 50,
+        run: _RunContexts | None = None,
     ):
+        own_run = run is None
+        if own_run:
+            run = _RunContexts(profile, demand, scen, power_grid)
         n = scen.n_devices
-        targets = profile.targets.tolist()
-        powers = profile.powers.tolist()
-        if not all(powers[k] > 0 for k in range(n) if k != i):
+        if not all(run.powers[k] > 0 for k in range(n) if k != i):
             raise ValueError(
                 f"best response of device {i} needs every other device to transmit "
                 "with positive power"
             )
-        self.H = scen.H
+        # a run holds the contexts it builds, so their references back are
+        # weak: a cycle would keep each run alive until the next collection
+        self.run = run if own_run else weakref.proxy(run)
         self.i, self.scen, self.ap = i, scen, scen.ap
         self.device = d = scen.devices[i]
-        self.T_s = routing.processing_times(demand, scen)
-        self.revenue = profile.prices[i] * demand[i]
-        self.processing = d.c_p * demand[i]
+        self.H_i, self.T_s = run.H[i], run.T_s
+        self.revenue = float(profile.prices[i] * demand[i])
+        self.processing = float(d.c_p * demand[i])
         self.floor = d.p_max / power_grid
         self.order = [j for j in range(n) if j != i] + [self.ap]
-        # co-target received power per node, summed in ascending device order
-        self.interference = [0.0] * scen.n_nodes
-        for k in range(n):
-            if k != i:
-                self.interference[targets[k]] += self.H[k, targets[k]] * powers[k]
+        self.cache = run.links[i]
         self.links: list[tuple[float, float, float] | None] = [None] * scen.n_nodes
+        self.relabels = -1  # the run labelling the structural terms come from
         self.inflow = -1  # unknown, so the first refresh scores every link
-        self.refresh(targets, powers, set())
+        self.refresh(run, set())
+        self.restructure(run)
 
-    def refresh(self, targets: list[int], powers: list[float], touched: set[int]) -> None:
-        """Catch up with the others' moves: `targets` and `powers` are the
-        current profile, `touched` every node whose co-target power changed
-        since the last refresh."""
-        i, ap, H = self.i, self.ap, self.H
+    def refresh(self, run: _RunContexts, touched: set[int]) -> None:
+        """Catch up with the others' moves on `run`: `touched` holds every
+        node whose co-target power changed since the last refresh."""
+        i = self.i
         inflow = self.inflow
-        self.inflow = targets.count(i)
-        ap_links = targets.count(ap) - (targets[i] == ap)
-        ends = _chain_ends(targets, i, ap)
-        stranded = ends.count(_ENDS_IN_CYCLE)
-        through_i = ends.count(_ENDS_AT_I) - 1
-        # per target node, rho of a link there before its lateness term:
-        # the chain-termination and access-point terms
-        relay_ap = max(0.0, 1.0 - ap_links) ** 2
-        reached = -2.0 * stranded - relay_ap
-        cut = -2.0 * (stranded + 1 + through_i) - relay_ap
-        self.rho_base = [reached if end == _ENDS_AT_AP else cut for end in ends]
-        self.rho_base.append(-2.0 * stranded - max(0.0, 1.0 - (ap_links + 1)) ** 2)
-
-        # re-sum the touched nodes' co-target power in ascending device order;
-        # node i's own is no candidate's and is left as it was
-        sums = {j: 0.0 for j in touched if j != i}
-        for k, t in enumerate(targets):
-            if t in sums and k != i:
-                sums[t] += H[k, t] * powers[k]
-        for j, total in sums.items():
-            self.interference[j] = total
+        self.inflow = len(run.children[i])
         # scoring every link starts at the direct one, so a zero-rate power
         # floor stops the solve before any relay link is tried
-        for j in reversed(self.order) if self.inflow != inflow else sums:
-            self.links[j] = self._link_terms(j)
-        rho_base = self.rho_base
-        self.candidates = [
-            (j, link[0], link[1], rho_base[j] - link[2])
+        nodes = reversed(self.order) if self.inflow != inflow else touched - {i}
+        links, cache, key_inflow = self.links, self.cache, self.inflow
+        own, shared = run.targets[i], run.interference
+        for j in nodes:
+            interference = run.co_target_power(j, without=i) if j == own else shared[j]
+            key = (j, key_inflow, interference)
+            terms = cache.get(key, _UNSCORED)
+            if terms is _UNSCORED:
+                terms = cache[key] = self._link_terms(j, interference)
+            links[j] = terms
+
+    def interference_at(self, j: int) -> float:
+        """Received power at node j from the other devices aiming at it."""
+        run = self.run
+        if run.targets[self.i] == j:
+            return run.co_target_power(j, without=self.i)
+        return run.interference[j]
+
+    @property
+    def interference(self) -> list[float]:
+        """`interference_at` of every node."""
+        return [self.interference_at(j) for j in range(self.scen.n_nodes)]
+
+    def restructure(self, run: _RunContexts) -> None:
+        """Bring the structural terms up to date with the labels of `run`:
+        the ancestors of device i and, before its lateness term, the rho
+        of a link to a device whose chain then reaches the access point
+        (`reached`), to one whose chain does not (`cut`), and of the
+        direct link (`direct`)."""
+        if self.relabels == run.relabels:
+            return
+        i, ap = self.i, self.ap
+        self.reaches_ap = run.reaches_ap
+        self.ancestors = ancestors = run.ancestors(i)
+        stranded = run.stranded - (0 if run.reaches_ap[i] else 1 + len(ancestors))
+        ap_links = len(run.children[ap]) - (run.targets[i] == ap)
+        relay_ap = max(0.0, 1.0 - ap_links) ** 2
+        self.reached = -2.0 * stranded - relay_ap
+        self.cut = -2.0 * (stranded + 1 + len(ancestors)) - relay_ap
+        self.direct = -2.0 * stranded - max(0.0, 1.0 - (ap_links + 1)) ** 2
+        self.relabels = run.relabels
+
+    def _rho_base(self, j: int) -> float:
+        """Rho of a link to node j before its lateness term."""
+        if j == self.ap:
+            return self.direct
+        reached = self.reaches_ap[j] and j not in self.ancestors
+        return self.reached if reached else self.cut
+
+    @property
+    def candidates(self) -> list[tuple[int, float, float, float]]:
+        """(j, p, profit, rho) of every candidate link, in ranking order."""
+        return [
+            (j, link[0], link[1], self._rho_base(j) - link[2])
             for j in self.order
             if (link := self.links[j]) is not None
         ]
@@ -403,83 +428,100 @@ class _RelayContext:
     def deadline_power(self, j: int) -> float:
         """Minimal power meeting the arrival deadline at relay j against
         the current co-target interference; p_max when unmeetable."""
-        i, d, scen = self.i, self.device, self.scen
-        slack = self.T_s[j] - self.T_s[i] - d.T_a * self.inflow
+        return self._deadline_power(j, self.interference_at(j))
+
+    def _deadline_power(self, j: int, interference: float) -> float:
+        """`deadline_power` against the given interference at j."""
+        i, d, scen, T_s = self.i, self.device, self.scen, self.T_s
+        slack = T_s[j] - T_s[i] - d.T_a * self.inflow
         if slack > 0:
             try:
                 rate = scen.I_d / slack * (1.0 + _TIMING_SAFETY)
-                return radio.min_power_for_rate(i, j, rate, self.interference[j], scen)
+                return radio.min_power_for_rate(i, j, rate, interference, scen)
             except radio.PowerLimitError:
                 pass
         return d.p_max
 
-    def _link_terms(self, j: int) -> tuple[float, float, float] | None:
+    def _link_terms(self, j: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link
         to j; None for a relay link whose gain, power or rate is 0."""
         if j == self.ap:
             p = self.floor
-            terms = self._terms(j, p)
+            terms = self._terms(j, p, interference)
             if terms is None:
                 raise ScenarioError(
                     f"device {self.i} has rate 0 on its direct link at the power floor "
-                    f"p_max/power_grid = {p:.6g} (channel gain {self.H[self.i, j]:.6g}, "
+                    f"p_max/power_grid = {p:.6g} (channel gain {self.H_i[j]:.6g}, "
                     f"noise {self.scen.sigma2:g}); a smaller --power-grid raises the floor"
                 )
             return (p, *terms)
-        if not self.H[self.i, j] > 0:  # rate 0 at any power
+        if not self.H_i[j] > 0:  # rate 0 at any power
             return None
-        p = self.deadline_power(j)
+        p = self._deadline_power(j, interference)
         if not p > 0:
             return None
-        terms = self._terms(j, p)
+        terms = self._terms(j, p, interference)
         return None if terms is None else (p, *terms)
 
-    def _terms(self, j: int, p: float) -> tuple[float, float] | None:
+    def _terms(self, j: int, p: float, interference: float) -> tuple[float, float] | None:
         """Profit and squared deadline lateness of device i on link (j, p);
         None when the rate is not positive."""
-        i, d, scen = self.i, self.device, self.scen
-        rate = d.w * math.log2(1.0 + self.H[i, j] * p / (self.interference[j] + scen.sigma2))
+        d, scen = self.device, self.scen
+        rate = d.w * math.log2(1.0 + self.H_i[j] * p / (interference + scen.sigma2))
         if not rate > 0:
             return None
         energy = d.c_t * (scen.I_d / rate) * p
         direct = j == self.ap
         relay_fee = scen.c_a * (0.0 if direct else 1.0)
-        profit = float(
-            self.revenue - energy - self.processing + scen.c_a * self.inflow - relay_fee
-        )
+        profit = self.revenue - energy - self.processing + scen.c_a * self.inflow - relay_fee
         late = 0.0
         if not direct:
-            late = float(self.T_s[i] + d.T_a * self.inflow + scen.I_d / rate - self.T_s[j])
+            T_s = self.T_s
+            late = T_s[self.i] + d.T_a * self.inflow + scen.I_d / rate - T_s[j]
         return profit, max(0.0, late) ** 2
 
     def value(self, j: int, p: float, M: float) -> tuple[float, float]:
         """Penalized profit and penalty of device i on link (j, p), p > 0:
         `_value` of the profile with that link substituted."""
-        terms = self._terms(j, p)
+        terms = self._terms(j, p, self.interference_at(j))
         if terms is None:
             raise ValueError(f"device {self.i} transmits with non-positive rate to node {j}")
         profit, late_sq = terms
-        rho = self.rho_base[j] - late_sq
+        rho = self._rho_base(j) - late_sq
         return profit + M * rho, rho
 
     def best(self, M: float) -> tuple[int, float]:
         """Highest-ranked candidate at penalty coefficient M; ties keep the
-        earlier candidate."""
-        best: tuple[int, float] | None = None
+        earlier candidate. Ranks the cached links in place: `candidates`
+        in one pass."""
+        links, reaches, ancestors = self.links, self.reaches_ap, self.ancestors
+        reached, cut, ap = self.reached, self.cut, self.ap
+        best_j, best_p = -1, 0.0
         best_val = -math.inf
         any_feasible = False
-        for j, p, profit, rho in self.candidates:
+        for j in self.order:
+            link = links[j]
+            if link is None:
+                continue
+            p, profit, late_sq = link
+            if j == ap:
+                rho = self.direct - late_sq
+            elif reaches[j] and j not in ancestors:
+                rho = reached - late_sq
+            else:
+                rho = cut - late_sq
             val = profit + M * rho
-            any_feasible = any_feasible or rho == 0.0
+            if rho == 0.0:
+                any_feasible = True
             if val > best_val:
-                best, best_val = (j, p), val
-        assert best is not None
+                best_j, best_p, best_val = j, p, val
+        assert best_j >= 0
         if not any_feasible:
             logger.warning(
                 "device %d has no feasible action even at p_max; "
-                "keeping the least-penalized one (target %d)", self.i, best[0]
+                "keeping the least-penalized one (target %d)", self.i, best_j
             )
-        return best
+        return best_j, best_p
 
 
 def relay_power_best_response(
@@ -521,39 +563,120 @@ def _direct_start(prices: np.ndarray, scen: Scenario, power_grid: int) -> Strate
 
 
 class _RunContexts:
-    """Each device's `_RelayContext` over one run of the dynamics on a
-    shared, mutable profile, built at the device's first use.
+    """State of one run of the dynamics on a shared, mutable profile, and
+    each device's `_RelayContext` on it, built at the device's first use.
 
-    Per device it keeps the nodes whose co-target power the others'
-    moves changed since its last use: each move's old and new target.
+    The run keeps the profile's targets and powers, the processing times
+    T_s and the rows of H as Python lists, and per node the co-target
+    power: the received power of every device aiming at it, summed from
+    zero in ascending device order. A move re-sums it at its old and new
+    target, once for all devices. A move that changes a target also
+    labels the profile once: each node's children (the devices aiming at
+    it, ascending) and whether each device's chain reaches the access
+    point or ends in a cycle. A device's context catches up with the
+    moves the others made since its last use.
+
+    `links` holds one link-term cache per device (see `_RelayContext`).
+    Its entries stay exact for any run with the same scenario, prices,
+    demand and power grid, so the runs of one solve share it.
     """
 
     def __init__(
-        self, profile: StrategyProfile, demand: np.ndarray, scen: Scenario, power_grid: int
+        self,
+        profile: StrategyProfile,
+        demand: np.ndarray,
+        scen: Scenario,
+        power_grid: int,
+        links: list[dict] | None = None,
     ):
         n = scen.n_devices
         self.profile, self.demand, self.scen, self.power_grid = profile, demand, scen, power_grid
+        self.start_prices = profile.prices.copy()
+        self.targets: list[int] = profile.targets.tolist()
+        self.powers: list[float] = profile.powers.tolist()
+        self.T_s: list[float] = routing.processing_times(demand, scen).tolist()
+        self.H: list[list[float]] = scen.H.tolist()
+        self.links = [{} for _ in range(n)] if links is None else links
+        self.relabels = 0  # labellings so far
+        self._label()
+        self.interference = [self.co_target_power(j) for j in range(scen.n_nodes)]
         self._contexts: list[_RelayContext | None] = [None] * n
-        self._touched: list[set[int]] = [set() for _ in range(n)]
+        self._moves: list[tuple[int, int, int]] = []  # (device, old target, new target)
+        self._seen = [0] * n  # moves each device's context has caught up with
+
+    def _label(self) -> None:
+        """Children of every node, and whether each device's chain reaches
+        the access point; counts the devices whose chain does not."""
+        targets, ap = self.targets, self.scen.ap
+        self.children: list[list[int]] = [[] for _ in range(ap + 1)]
+        for k, t in enumerate(targets):
+            self.children[t].append(k)
+        reaches: list[bool | None] = [None] * ap
+        for k in range(ap):
+            path = []
+            node = k
+            while node != ap and reaches[node] is None:
+                reaches[node] = False  # on the walk in progress: a revisit is a cycle
+                path.append(node)
+                node = targets[node]
+            end = node == ap or reaches[node]
+            for m in path:
+                reaches[m] = end
+        self.reaches_ap = reaches
+        self.stranded = reaches.count(False)
+        self.relabels += 1
+
+    def ancestors(self, i: int) -> set[int]:
+        """The devices other than i whose forwarding chain passes through i."""
+        found: set[int] = set()
+        stack = list(self.children[i])
+        while stack:
+            k = stack.pop()
+            if k != i and k not in found:
+                found.add(k)
+                stack.extend(self.children[k])
+        return found
+
+    def co_target_power(self, j: int, without: int = -1) -> float:
+        """Received power at node j from the devices aiming at it, device
+        `without` left out, summed from zero in ascending device order."""
+        H, powers = self.H, self.powers
+        total = 0.0
+        for k in self.children[j]:
+            if k != without:
+                total += H[k][j] * powers[k]
+        return total
 
     def context(self, i: int) -> _RelayContext:
         """Device i's context, caught up with every move since its last use."""
         ctx = self._contexts[i]
+        moves = self._moves
         if ctx is None:
             ctx = self._contexts[i] = _RelayContext(
-                i, self.profile, self.demand, self.scen, self.power_grid
+                i, self.profile, self.demand, self.scen, self.power_grid, self
             )
-        elif self._touched[i]:
-            profile = self.profile
-            ctx.refresh(profile.targets.tolist(), profile.powers.tolist(), self._touched[i])
-        self._touched[i].clear()
+        elif self._seen[i] < len(moves):
+            touched = set()
+            for k, j_old, j_new in moves[self._seen[i]:]:
+                if k != i:
+                    touched.add(j_old)
+                    touched.add(j_new)
+            if touched:
+                ctx.refresh(self, touched)
+            ctx.restructure(self)
+        self._seen[i] = len(moves)
         return ctx
 
-    def moved(self, i: int, j_old: int, j_new: int) -> None:
-        """Record a move of device i from target j_old to j_new."""
-        for k, touched in enumerate(self._touched):
-            if k != i:
-                touched.update((j_old, j_new))
+    def move(self, i: int, j: int, p: float) -> None:
+        """Device i now transmits to node j with power p."""
+        j_old = self.targets[i]
+        self.targets[i], self.powers[i] = j, p
+        self.profile.targets[i], self.profile.powers[i] = j, p
+        if j != j_old:
+            self._label()
+            self.interference[j_old] = self.co_target_power(j_old)
+        self.interference[j] = self.co_target_power(j)
+        self._moves.append((i, j_old, j))
 
 
 def unilateral_gains(
@@ -573,25 +696,30 @@ def unilateral_gains(
     the current value, so it is not scored; a device whose deviations
     both equal its strategy gains 0.
 
-    `contexts` holds the per-device contexts of the dynamics run that
-    ended at `profile`; each device's best response then comes from its
-    own context, caught up with the moves since its last turn, which
-    equals a fresh context's bit for bit; they must be that run's, on
-    this very profile, scenario and power grid. Without them every
-    context is built fresh from the profile.
+    `contexts` holds the state of the dynamics run that ended at
+    `profile`, which started at the closed-form prices; the price
+    deviations are then those start prices, and each device's best
+    response comes from its own context, caught up with the moves since
+    its last turn, which equals a fresh context's bit for bit. They must
+    be that run's, on this very profile, scenario and power grid.
+    Without them the prices are solved for and every context is built
+    fresh from the profile.
     """
     if contexts is None:
+        closed_form = [price_best_response(i, scen) for i in range(scen.n_devices)]
         demand = lower_level.best_response_demand(profile.prices, scen)
         contexts = _RunContexts(profile, demand, scen, power_grid)
     elif not (
         contexts.profile is profile and contexts.scen is scen and contexts.power_grid == power_grid
     ):
         raise ValueError("contexts belong to another run than this profile")
+    else:
+        closed_form = contexts.start_prices
     prices, targets, powers = profile.prices, profile.targets, profile.powers
     demand = contexts.demand
     gains = np.zeros(scen.n_devices)
     for i in range(scen.n_devices):
-        q_alt = price_best_response(i, scen)
+        q_alt = closed_form[i]
         j_alt, p_alt = contexts.context(i).best(M)
         same_q = q_alt == prices[i]
         same_link = j_alt == targets[i] and p_alt == powers[i]
@@ -620,24 +748,27 @@ def _round_robin(
     order: str,
     power_grid: int,
     profile: StrategyProfile,
+    links: list[dict] | None = None,
 ) -> tuple[StrategyProfile, np.ndarray, int, bool, _RunContexts]:
     """Round-robin relay/power best responses from `profile`, updated in
     place, over the penalty schedule, re-converging at each coefficient.
 
-    Prices stay at their starting values and the owner's demand at its
-    response to them. Each device keeps one `_RelayContext` for the whole
-    run, built at its first turn. A move is any change of a device's
-    target or of any bit of its power; a device's next turn refreshes its
-    context with the nodes that the others' moves touched since its last
-    turn. With no such move it only re-ranks its cached candidates at the
-    current coefficient. The `_P_TOL` test decides only whether a device
-    counts as changed.
+    Prices stay at their starting values, the closed-form ones, and the
+    owner's demand at its response to them. The run's state
+    (`_RunContexts`) keeps one `_RelayContext` per device for the whole
+    run, built at its first turn, and looks link terms up in `links`, a
+    cache shared with the other runs of the same solve. A move is any
+    change of a device's target or of any bit of its power; a device's
+    next turn refreshes its context with the nodes that the others'
+    moves touched since its last turn. With no such move it only
+    re-ranks its cached candidates at the current coefficient. The
+    `_P_TOL` test decides only whether a device counts as changed.
     Returns the profile, the demand, the number of rounds, whether the
-    last stage settled, and the run's contexts.
+    last stage settled, and the run's state.
     """
     n = scen.n_devices
     demand = lower_level.best_response_demand(profile.prices, scen)
-    contexts = _RunContexts(profile, demand, scen, power_grid)
+    run = _RunContexts(profile, demand, scen, power_grid, links)
     device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
 
     rounds = 0
@@ -648,13 +779,12 @@ def _round_robin(
             rounds += 1
             changed = 0
             for i in device_order:
-                j_new, p_new = contexts.context(i).best(M)
-                j_old, p_old = int(profile.targets[i]), float(profile.powers[i])
+                j_new, p_new = run.context(i).best(M)
+                j_old, p_old = run.targets[i], run.powers[i]
                 if j_new != j_old or abs(p_new - p_old) > _P_TOL:
                     changed += 1
                 if j_new != j_old or p_new != p_old:
-                    profile.targets[i], profile.powers[i] = j_new, p_new
-                    contexts.moved(i, j_old, j_new)
+                    run.move(i, j_new, p_new)
             logger.debug(
                 "%s order, M=%g, round %d: %d of %d devices changed", order, M, rounds, changed, n
             )
@@ -663,7 +793,61 @@ def _round_robin(
                 break
         if not stable:
             logger.warning("dynamics did not settle within %d rounds at M=%g", max_iter, M)
-    return profile, demand, rounds, stable, contexts
+    return profile, demand, rounds, stable, run
+
+
+def _solve(
+    scen: Scenario,
+    cfg: PenaltyConfig | None,
+    eps_nash: float,
+    max_iter: int,
+    power_grid: int,
+    order_check: bool,
+) -> EquilibriumReport:
+    """The forward run and its report, and with order_check the reverse
+    run from the same start; both runs share one link-term cache."""
+    cfg = cfg or PenaltyConfig()
+    start = default_init(scen, power_grid)
+    prices = start.prices.copy()
+    links: list[dict] = [{} for _ in range(scen.n_devices)]
+    profile, demand, rounds, stable, run = _round_robin(
+        scen, cfg, max_iter, "forward", power_grid, start, links
+    )
+    n = scen.n_devices
+    M_final = cfg.m_schedule[-1]
+    gain = float(np.max(np.maximum(
+        unilateral_gains(profile, scen, M_final, power_grid, contexts=run), 0.0
+    ), initial=0.0))
+    rates = radio.transmission_rates(profile.targets, profile.powers, scen)
+    I = profile.indicator(scen.n_nodes)
+    profits = np.array([
+        _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen) for i in range(n)
+    ])
+    feas, violations = routing.feasible(I, demand, rates, scen, cfg.eps_feas)
+    report = EquilibriumReport(
+        prices=profile.prices,
+        targets=profile.targets,
+        powers=profile.powers,
+        demand=demand,
+        rates=rates,
+        profits=profits,
+        owner_utility=lower_level.owner_utility(demand, profile.prices, scen),
+        converged=stable and gain <= eps_nash and feas,
+        iterations=rounds,
+        max_unilateral_gain=gain,
+        feasible=feas,
+        violations=violations,
+    )
+    if order_check:
+        alt, *_ = _round_robin(
+            scen, cfg, max_iter, "reverse", power_grid, _direct_start(prices, scen, power_grid),
+            links,
+        )
+        report.order_robust = bool(
+            np.array_equal(alt.targets, report.targets)
+            and np.allclose(alt.powers, report.powers, rtol=0, atol=1e-9)
+        )
+    return report
 
 
 def best_response_dynamics(
@@ -684,36 +868,7 @@ def best_response_dynamics(
     certificate reuses the run's per-device contexts. Non-convergence is
     reported, never raised.
     """
-    cfg = cfg or PenaltyConfig()
-    profile, demand, rounds, stable, contexts = _round_robin(
-        scen, cfg, max_iter, "forward", power_grid, default_init(scen, power_grid)
-    )
-    n = scen.n_devices
-    M_final = cfg.m_schedule[-1]
-    gain = float(np.max(np.maximum(
-        unilateral_gains(profile, scen, M_final, power_grid, contexts=contexts), 0.0
-    ), initial=0.0))
-    rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    profits = np.array([
-        device_profit(i, profile, demand, scen, rates=rates) for i in range(n)
-    ])
-    I = profile.indicator(scen.n_nodes)
-    feas, violations = routing.feasible(I, demand, rates, scen, cfg.eps_feas)
-    converged = stable and gain <= eps_nash and feas
-    return EquilibriumReport(
-        prices=profile.prices,
-        targets=profile.targets,
-        powers=profile.powers,
-        demand=demand,
-        rates=rates,
-        profits=profits,
-        owner_utility=lower_level.owner_utility(demand, profile.prices, scen),
-        converged=converged,
-        iterations=rounds,
-        max_unilateral_gain=gain,
-        feasible=feas,
-        violations=violations,
-    )
+    return _solve(scen, cfg, eps_nash, max_iter, power_grid, order_check=False)
 
 
 def solve_stackelberg(
@@ -729,20 +884,9 @@ def solve_stackelberg(
 
     With order_check the round-robin loop also runs in reverse device
     order, from the same start as the forward run (its prices are the
-    forward report's, so they are not solved for again), and the report records
+    forward run's, so they are not solved for again), and the report records
     whether both orders reach the same targets and powers (prices are
     fixed before either run); the report itself describes the forward
-    profile only.
+    profile only. The two runs share their link-term cache.
     """
-    cfg = cfg or PenaltyConfig()
-    report = best_response_dynamics(
-        scen, cfg, eps_nash=eps_nash, max_iter=max_iter, power_grid=power_grid
-    )
-    if order_check:
-        start = _direct_start(report.prices.copy(), scen, power_grid)
-        alt, *_ = _round_robin(scen, cfg, max_iter, "reverse", power_grid, start)
-        report.order_robust = bool(
-            np.array_equal(alt.targets, report.targets)
-            and np.allclose(alt.powers, report.powers, rtol=0, atol=1e-9)
-        )
-    return report
+    return _solve(scen, cfg, eps_nash, max_iter, power_grid, order_check)

@@ -84,6 +84,34 @@ def walk_reaches_ap(targets, n: int) -> bool:
     return True
 
 
+# Where a device's forwarding chain ends once device i's own link is cut.
+ENDS_AT_AP, ENDS_AT_I, ENDS_IN_CYCLE = 0, 1, 2
+
+
+def chain_ends(targets, i: int, ap: int) -> list[int]:
+    """Label each device by where its forwarding chain ends when device i
+    is a terminal: the access point, device i, or a cycle avoiding i.
+    Device i itself is labelled ENDS_AT_I. Walks every chain from
+    scratch."""
+    n = len(targets)
+    walking = -1  # label of the nodes on the walk in progress
+    ends: list[int | None] = [None] * n
+    ends[i] = ENDS_AT_I
+    for k in range(n):
+        path = []
+        node = k
+        while node != ap and ends[node] is None:
+            ends[node] = walking
+            path.append(node)
+            node = int(targets[node])
+        end = ENDS_AT_AP if node == ap else ends[node]
+        if end == walking:
+            end = ENDS_IN_CYCLE
+        for m in path:
+            ends[m] = end
+    return ends
+
+
 def rates_from_matrix(P, scen) -> np.ndarray:
     """Per-device rates from a full (n+1)x(n+1) power matrix.
 

@@ -194,6 +194,27 @@ def test_solve_overflowing_positions_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_overflowing_path_loss_exit_2(tmp_path, capsys, command):
+    # squared distances near 1e122 stay finite, but their cube (alpha = 6) does not
+    data = scenario_to_dict(paper9_scenario(3))
+    data["positions"] = [[x * 1e60 for x in xy] for xy in data["positions"]]
+    data["global"]["alpha"] = ALPHA_MAX
+    path = tmp_path / "path-loss.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--scenario", str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "run")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "node positions are too far apart for path-loss exponent alpha = 6" in err
+    assert "Traceback" not in err
+
+
 def test_solve_large_power_grid_writes_finite_artifacts(tmp_path):
     out = tmp_path / "run"
     argv = ["solve", "--preset", "paper9", "--seed", "7", "--power-grid", "100000000000000"]

@@ -30,11 +30,16 @@ from fedrelay.upper_level import (
     solve_stackelberg,
     unilateral_gains,
     _RelayContext,
+    _RunContexts,
     _round_robin,
     _value,
 )
 from fedrelay import radio, upper_level
 from support import (
+    ENDS_AT_AP,
+    ENDS_AT_I,
+    ENDS_IN_CYCLE,
+    chain_ends,
     grid_argmax_price,
     make_device,
     make_scenario,
@@ -885,19 +890,22 @@ def test_relay_context_refresh_equals_fresh_context():
         profile = random_profile(rng, scen)
         demand = best_response_demand(profile.prices, scen)
         i = int(rng.integers(n))
-        ctx = _RelayContext(i, profile, demand, scen)
+        run = _RunContexts(profile, demand, scen, 50)
+        ctx = run.context(i)
         targets, powers = profile.targets.tolist(), profile.powers.tolist()
         for _ in range(30):
             touched = set()
             for _ in range(int(rng.integers(1, 4))):
                 before = (targets.count(i), list(targets), list(powers))
                 touched |= _move(rng, scen, targets, powers, i)
+                for k in range(n):  # the move, made through the run
+                    if (targets[k], powers[k]) != (before[1][k], before[2][k]):
+                        run.move(k, targets[k], powers[k])
                 seen["inflow_changed"] += targets.count(i) != before[0]
                 seen["ap_touched"] += scen.ap in touched
                 seen["power_only"] += targets == before[1] and powers != before[2]
                 seen["own_move"] += targets[i] != before[1][i]
-            if touched:
-                ctx.refresh(targets, powers, touched)
+            assert run.context(i) is ctx
             fresh = _RelayContext(
                 i, StrategyProfile(profile.prices, targets, powers), demand, scen
             )
@@ -905,6 +913,17 @@ def test_relay_context_refresh_equals_fresh_context():
             assert [ctx.interference[j] for j in others] == [fresh.interference[j] for j in others]
             assert ctx.links == fresh.links
             assert ctx.candidates == fresh.candidates
+            resummed = [0.0] * scen.n_nodes
+            for k in range(n):
+                resummed[targets[k]] += scen.H[k, targets[k]] * powers[k]
+            assert run.interference == resummed
+            ancestors = run.ancestors(i)
+            labels = [
+                ENDS_AT_I if k == i or k in ancestors
+                else ENDS_AT_AP if run.reaches_ap[k] else ENDS_IN_CYCLE
+                for k in range(n)
+            ]
+            assert labels == chain_ends(targets, i, scen.ap)
     assert min(seen.values()) >= 20, seen
 
 
@@ -919,8 +938,25 @@ def test_solve_rescores_only_touched_links(monkeypatch):
 
     monkeypatch.setattr(radio, "min_power_for_rate", counted)
     solve_stackelberg(paper9_scenario(7))
-    # rebuilding every candidate at every best response made 607 calls
-    assert 0 < calls <= 303
+    # rebuilding every candidate at every best response made 607 calls;
+    # re-scoring only touched links made 166, before the two runs shared
+    # their link terms
+    assert 0 < calls <= 120
+
+
+def test_solve_solves_each_price_once(monkeypatch):
+    calls = 0
+    original = upper_level.price_best_response
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(upper_level, "price_best_response", counted)
+    solve_stackelberg(paper9_scenario(7))
+    # the certificate and the reverse run take the forward run's start prices
+    assert calls == 9
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,10 @@ runs a 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
 without the order check. Each instance runs three times. Prints one
 JSON object: per instance the median CPU time (`time.process_time`)
 with the three samples, the rounds (`iterations`, summed over a sweep's
-points) and `converged` (all of a sweep's points), and the machine it
-ran on. Run it against a checkout:
+points), `converged` (all of a sweep's points) and the process's peak
+resident set size after the instance (`ru_maxrss`, so it never falls
+from one instance to the next), and the machine it ran on. Run it
+against a checkout:
 
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
@@ -23,6 +25,7 @@ import json
 import logging
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import time
@@ -74,6 +77,11 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def git_commit(path: Path) -> str:
     """Commit of the checkout that holds `path`, suffixed "-dirty" when
     its tracked files differ from it, or "unknown"."""
@@ -103,6 +111,7 @@ def main() -> None:
             "cpu_s": samples,
             "iterations": iterations,
             "converged": converged,
+            "peak_rss_mb": peak_rss_mb(),
         })
     package = Path(fedrelay.__file__).resolve().parent
     machine = {
