@@ -366,10 +366,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             for d in data["devices"]
         )
         g = data["global"]
+        try:
+            positions = np.asarray(data["positions"], dtype=float)
+            h = np.asarray(g["h"], dtype=float)
+        except ValueError as exc:  # ragged or non-numeric
+            raise ScenarioError(f"malformed scenario config: {exc}") from exc
         return Scenario(
             devices=devices,
-            positions=np.asarray(data["positions"], dtype=float),
-            h=np.asarray(g["h"], dtype=float),
+            positions=positions,
+            h=h,
             alpha=g["alpha"],
             sigma2=g["sigma2"],
             I_d=g["I_d"],

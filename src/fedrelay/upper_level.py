@@ -15,26 +15,24 @@ priced into the objective via an increasing schedule of penalty
 coefficients, so infeasible strategies are dominated once the
 coefficient is large.
 
-A run of the dynamics keeps one shared state: the targets and powers,
-the co-target power at each node, and the profile's structure (each
-node's children, and whether each device's chain reaches the access
-point), updated once per move. Each device keeps its scored candidates
-on that state for the whole run. A candidate's profit and penalty do
-not depend on the penalty coefficient, so a new coefficient only
-re-ranks them; another device's move re-scores only the links whose
-target it touched, or all of them when it changes the device's inflow.
-A link's terms are a pure function of its target, the device's inflow
-and the interference there, so the forward run, its certificate and the
-reverse-order run of one solve share a cache of them and score no link
-twice. The equilibrium certificate takes each device's best response
-from the forward run's candidates.
+A run of the dynamics is one object, `_Run`: the targets and powers,
+the co-target power at each node, the profile's structure (each node's
+children, and whether each device's chain reaches the access point),
+updated once per move, and per device its scored candidates, kept for
+the whole run. A candidate's profit and penalty do not depend on the
+penalty coefficient, so a new coefficient only re-ranks them; another
+device's move re-scores only the links whose target it touched, or all
+of them when it changes the device's inflow. A link's terms are a pure
+function of its target, the device's inflow and the interference there,
+so the forward run, its certificate and the reverse-order run of one
+solve share a cache of them and score no link twice. The equilibrium
+certificate takes each device's best response from the forward run.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,228 +282,232 @@ def price_best_response(i: int, scen: Scenario) -> float:
 _UNSCORED = object()
 
 
-class _RelayContext:
-    """Device i's relay/power best response against the others, who are
+class _Run:
+    """State of one run of the dynamics on a shared, mutable profile, and
+    each device's relay/power best response against the others, who are
     held fixed, kept up to date as they move.
 
-    It reads the others' strategies from a `_RunContexts` run state: the
-    dynamics keep one context per device on their run's state for the
-    whole run, across rounds and penalty stages, and the run's
-    certificate reuses it; built without a run (as
-    `relay_power_best_response` does) it makes a run state of its own.
+    The run keeps the profile's targets and powers, the processing times
+    T_s and the rows of H as Python lists, and per node the co-target
+    power: the received power of every device aiming at it, summed from
+    zero in ascending device order. A move re-sums it at its old and new
+    target, once for all devices, and adds both targets to every other
+    device's `touched` set. A move that changes a target also labels the
+    profile once: each node's children (the devices aiming at it,
+    ascending) and whether each device's chain reaches the access point
+    or ends in a cycle.
 
-    Per candidate target j (every other device in ascending order, then
-    the access point) it holds the link terms that cost a
-    `min_power_for_rate` and a `log2`: the power, the profit and the
-    squared lateness. The power is the deadline-matching one on a relay
+    Device i's state starts at its first `best` and is kept in per-device
+    lists. Per candidate target j (every other node), `links[i][j]` holds
+    the link terms that cost a `min_power_for_rate` and a `log2`: the
+    power, the profit and the squared lateness, or None for a link that
+    is not a candidate. The power is the deadline-matching one on a relay
     link and the floor p_max / power_grid on the direct link. Given the
     scenario, the prices, the demand and the floor, the terms of link j
     depend only on device i's inflow and the co-target interference at
-    j, so they are looked up in the run's per-device cache under
-    (j, inflow, interference) and computed only on a miss. With the
-    structural terms they give each candidate's (j, p, profit, rho);
-    neither profit nor rho depends on the penalty coefficient M, so
-    `best(M)` only re-ranks them by profit + M * rho.
+    j, so they are looked up in `cache[i]` under (j, inflow,
+    interference) and computed only on a miss. The cache stays exact for
+    any run with the same scenario, prices, demand and power grid, so the
+    runs of one solve share it.
 
-    The run's `context(i)` catches the context up with the others' moves.
-    `refresh` looks a link up again only when the co-target power at its
-    target changed, or every link when device i's inflow did. The
-    interference at j is the run's co-target sum there, except at device
-    i's own current target, where it is re-summed in ascending device
-    order without device i; so every number equals what a fresh context
-    computes, bit for bit.
+    `best(i, M)` first catches device i up: it looks a link up again only
+    when its target is in `touched[i]`, or every link when device i's
+    inflow changed. The interference at j is the run's co-target sum
+    there, except at device i's own current target, where it is re-summed
+    in ascending device order without device i; so every number equals
+    what a fresh run computes, bit for bit.
 
     Every other device must transmit with positive power, so every row
     of the indicator is single-link. The chain-termination defect is
     then twice the number of devices whose chain never reaches the
     access point, and device i's link decides only whether i and its
-    ancestors (the devices whose chains pass through i) join them.
-    `restructure` takes these terms from the run's labels whenever a
-    move changed a target.
+    ancestors (the devices whose chains pass through i) join them. After
+    each labelling, catching up takes from the labels device i's
+    ancestors and the rho, before its lateness term, of a link to a
+    device whose chain then reaches the access point (`reached`), to one
+    whose chain does not (`cut`), and of the direct link (`direct`).
+    Neither profit nor rho depends on the penalty coefficient M, so
+    `best` only re-ranks the cached links by profit + M * rho.
     """
 
     def __init__(
         self,
-        i: int,
         profile: StrategyProfile,
         demand: np.ndarray,
         scen: Scenario,
-        power_grid: int = 50,
-        run: _RunContexts | None = None,
+        power_grid: int,
+        cache: list[dict] | None = None,
     ):
-        own_run = run is None
-        if own_run:
-            run = _RunContexts(profile, demand, scen, power_grid)
         n = scen.n_devices
-        if not all(run.powers[k] > 0 for k in range(n) if k != i):
-            raise ValueError(
-                f"best response of device {i} needs every other device to transmit "
-                "with positive power"
-            )
-        # a run holds the contexts it builds, so their references back are
-        # weak: a cycle would keep each run alive until the next collection
-        self.run = run if own_run else weakref.proxy(run)
-        self.i, self.scen, self.ap = i, scen, scen.ap
-        self.device = d = scen.devices[i]
-        self.H_i, self.T_s = run.H[i], run.T_s
-        self.revenue = float(profile.prices[i] * demand[i])
-        self.processing = float(d.c_p * demand[i])
-        self.floor = d.p_max / power_grid
-        self.order = [j for j in range(n) if j != i] + [self.ap]
-        self.cache = run.links[i]
-        self.links: list[tuple[float, float, float] | None] = [None] * scen.n_nodes
-        self.relabels = -1  # the run labelling the structural terms come from
-        self.inflow = -1  # unknown, so the first refresh scores every link
-        self.refresh(run, set())
-        self.restructure(run)
+        self.profile, self.demand, self.scen = profile, demand, scen
+        self.ap, self.devices = n, scen.devices
+        self.sigma2, self.I_d, self.c_a = scen.sigma2, scen.I_d, scen.c_a
+        self.targets: list[int] = profile.targets.tolist()
+        self.powers: list[float] = profile.powers.tolist()
+        self.T_s: list[float] = routing.processing_times(demand, scen).tolist()
+        self.H: list[list[float]] = scen.H.tolist()
+        self.revenue = [float(profile.prices[i] * demand[i]) for i in range(n)]
+        self.processing = [float(d.c_p * demand[i]) for i, d in enumerate(self.devices)]
+        self.floor = [d.p_max / power_grid for d in self.devices]
+        self.cache = [{} for _ in range(n)] if cache is None else cache
+        self.relabels = 0  # labellings so far
+        self._label()
+        self.interference = [self.co_target_power(j) for j in range(n + 1)]
+        # per device; links[i] is None until device i's first `best`
+        self.links: list[list[tuple[float, float, float] | None] | None] = [None] * n
+        self.inflow = [-1] * n
+        self.touched: list[set[int]] = [set() for _ in range(n)]
+        self.labelled = [-1] * n  # the labelling each device's rho terms come from
+        self.ancestors: list[set[int]] = [set() for _ in range(n)]
+        self.reached, self.cut, self.direct = [0.0] * n, [0.0] * n, [0.0] * n
 
-    def refresh(self, run: _RunContexts, touched: set[int]) -> None:
-        """Catch up with the others' moves on `run`: `touched` holds every
-        node whose co-target power changed since the last refresh."""
-        i = self.i
-        inflow = self.inflow
-        self.inflow = len(run.children[i])
-        # scoring every link starts at the direct one, so a zero-rate power
-        # floor stops the solve before any relay link is tried
-        nodes = reversed(self.order) if self.inflow != inflow else touched - {i}
-        links, cache, key_inflow = self.links, self.cache, self.inflow
-        own, shared = run.targets[i], run.interference
-        for j in nodes:
-            interference = run.co_target_power(j, without=i) if j == own else shared[j]
-            key = (j, key_inflow, interference)
+    def _label(self) -> None:
+        """Children of every node, and whether each device's chain reaches
+        the access point; counts the devices whose chain does not."""
+        targets, ap = self.targets, self.ap
+        self.children: list[list[int]] = [[] for _ in range(ap + 1)]
+        for k, t in enumerate(targets):
+            self.children[t].append(k)
+        reaches: list[bool | None] = [None] * ap
+        for k in range(ap):
+            path = []
+            node = k
+            while node != ap and reaches[node] is None:
+                reaches[node] = False  # on the walk in progress: a revisit is a cycle
+                path.append(node)
+                node = targets[node]
+            end = node == ap or reaches[node]
+            for m in path:
+                reaches[m] = end
+        self.reaches_ap = reaches
+        self.stranded = reaches.count(False)
+        self.relabels += 1
+
+    def co_target_power(self, j: int, without: int = -1) -> float:
+        """Received power at node j from the devices aiming at it, device
+        `without` left out, summed from zero in ascending device order."""
+        H, powers = self.H, self.powers
+        total = 0.0
+        for k in self.children[j]:
+            if k != without:
+                total += H[k][j] * powers[k]
+        return total
+
+    def _catch_up(self, i: int) -> None:
+        """Bring device i's links and structural terms up to date with the
+        others' moves since its last turn."""
+        links = self.links[i]
+        if links is None:
+            if not all(self.powers[k] > 0 for k in range(self.ap) if k != i):
+                raise ValueError(
+                    f"best response of device {i} needs every other device to transmit "
+                    "with positive power"
+                )
+            links = self.links[i] = [None] * (self.ap + 1)
+        inflow = len(self.children[i])
+        touched = self.touched[i]
+        if inflow != self.inflow[i]:
+            self.inflow[i] = inflow
+            # scoring every link starts at the direct one, so a zero-rate power
+            # floor stops the solve before any relay link is tried
+            touched = range(self.ap, -1, -1)
+        cache, own, shared = self.cache[i], self.targets[i], self.interference
+        for j in touched:
+            if j == i:
+                continue
+            interference = self.co_target_power(j, without=i) if j == own else shared[j]
+            key = (j, inflow, interference)
             terms = cache.get(key, _UNSCORED)
             if terms is _UNSCORED:
-                terms = cache[key] = self._link_terms(j, interference)
+                terms = cache[key] = self._link_terms(i, j, interference)
             links[j] = terms
+        self.touched[i].clear()
+        if self.labelled[i] != self.relabels:
+            self.labelled[i] = self.relabels
+            ancestors = self.ancestors[i] = set()
+            stack = list(self.children[i])
+            while stack:
+                k = stack.pop()
+                if k != i and k not in ancestors:
+                    ancestors.add(k)
+                    stack.extend(self.children[k])
+            stranded = self.stranded - (0 if self.reaches_ap[i] else 1 + len(ancestors))
+            ap_links = len(self.children[self.ap]) - (own == self.ap)
+            relay_ap = max(0.0, 1.0 - ap_links) ** 2
+            self.reached[i] = -2.0 * stranded - relay_ap
+            self.cut[i] = -2.0 * (stranded + 1 + len(ancestors)) - relay_ap
+            self.direct[i] = -2.0 * stranded - max(0.0, 1.0 - (ap_links + 1)) ** 2
 
-    def interference_at(self, j: int) -> float:
-        """Received power at node j from the other devices aiming at it."""
-        run = self.run
-        if run.targets[self.i] == j:
-            return run.co_target_power(j, without=self.i)
-        return run.interference[j]
-
-    @property
-    def interference(self) -> list[float]:
-        """`interference_at` of every node."""
-        return [self.interference_at(j) for j in range(self.scen.n_nodes)]
-
-    def restructure(self, run: _RunContexts) -> None:
-        """Bring the structural terms up to date with the labels of `run`:
-        the ancestors of device i and, before its lateness term, the rho
-        of a link to a device whose chain then reaches the access point
-        (`reached`), to one whose chain does not (`cut`), and of the
-        direct link (`direct`)."""
-        if self.relabels == run.relabels:
-            return
-        i, ap = self.i, self.ap
-        self.reaches_ap = run.reaches_ap
-        self.ancestors = ancestors = run.ancestors(i)
-        stranded = run.stranded - (0 if run.reaches_ap[i] else 1 + len(ancestors))
-        ap_links = len(run.children[ap]) - (run.targets[i] == ap)
-        relay_ap = max(0.0, 1.0 - ap_links) ** 2
-        self.reached = -2.0 * stranded - relay_ap
-        self.cut = -2.0 * (stranded + 1 + len(ancestors)) - relay_ap
-        self.direct = -2.0 * stranded - max(0.0, 1.0 - (ap_links + 1)) ** 2
-        self.relabels = run.relabels
-
-    def _rho_base(self, j: int) -> float:
-        """Rho of a link to node j before its lateness term."""
-        if j == self.ap:
-            return self.direct
-        reached = self.reaches_ap[j] and j not in self.ancestors
-        return self.reached if reached else self.cut
-
-    @property
-    def candidates(self) -> list[tuple[int, float, float, float]]:
-        """(j, p, profit, rho) of every candidate link, in ranking order."""
-        return [
-            (j, link[0], link[1], self._rho_base(j) - link[2])
-            for j in self.order
-            if (link := self.links[j]) is not None
-        ]
-
-    def deadline_power(self, j: int) -> float:
-        """Minimal power meeting the arrival deadline at relay j against
-        the current co-target interference; p_max when unmeetable."""
-        return self._deadline_power(j, self.interference_at(j))
-
-    def _deadline_power(self, j: int, interference: float) -> float:
-        """`deadline_power` against the given interference at j."""
-        i, d, scen, T_s = self.i, self.device, self.scen, self.T_s
-        slack = T_s[j] - T_s[i] - d.T_a * self.inflow
-        if slack > 0:
-            try:
-                rate = scen.I_d / slack * (1.0 + _TIMING_SAFETY)
-                return radio.min_power_for_rate(i, j, rate, interference, scen)
-            except radio.PowerLimitError:
-                pass
-        return d.p_max
-
-    def _link_terms(self, j: int, interference: float) -> tuple[float, float, float] | None:
+    def _link_terms(self, i: int, j: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link
-        to j; None for a relay link whose gain, power or rate is 0."""
+        to j; None for a relay link whose gain, power or rate is 0. The
+        relay power is the least that meets the arrival deadline at j
+        against `interference`, p_max when no power does."""
+        d = self.devices[i]
         if j == self.ap:
-            p = self.floor
-            terms = self._terms(j, p, interference)
+            p = self.floor[i]
+            terms = self._terms(i, j, p, interference)
+            floor = f"on its direct link at the power floor p_max/power_grid = {p:.6g}"
             if terms is None:
                 raise ScenarioError(
-                    f"device {self.i} has rate 0 on its direct link at the power floor "
-                    f"p_max/power_grid = {p:.6g} (channel gain {self.H_i[j]:.6g}, "
-                    f"noise {self.scen.sigma2:g}); a smaller --power-grid raises the floor"
+                    f"device {i} has rate 0 {floor} (channel gain {self.H[i][j]:.6g}, "
+                    f"noise {self.sigma2:g}); a smaller --power-grid raises the floor"
+                )
+            if not math.isfinite(terms[0]):
+                raise ScenarioError(
+                    f"device {i} has a non-finite profit {floor}: its energy cost "
+                    f"c_t * I_d * p / rate overflows (c_t = {d.c_t:g}, I_d = {self.I_d:g})"
                 )
             return (p, *terms)
-        if not self.H_i[j] > 0:  # rate 0 at any power
+        if not self.H[i][j] > 0:  # rate 0 at any power
             return None
-        p = self._deadline_power(j, interference)
+        p = d.p_max
+        slack = self.T_s[j] - self.T_s[i] - d.T_a * self.inflow[i]
+        if slack > 0:
+            try:
+                rate = self.I_d / slack * (1.0 + _TIMING_SAFETY)
+                p = radio.min_power_for_rate(i, j, rate, interference, self.scen)
+            except radio.PowerLimitError:
+                pass
         if not p > 0:
             return None
-        terms = self._terms(j, p, interference)
+        terms = self._terms(i, j, p, interference)
         return None if terms is None else (p, *terms)
 
-    def _terms(self, j: int, p: float, interference: float) -> tuple[float, float] | None:
+    def _terms(self, i: int, j: int, p: float, interference: float) -> tuple[float, float] | None:
         """Profit and squared deadline lateness of device i on link (j, p);
         None when the rate is not positive."""
-        d, scen = self.device, self.scen
-        rate = d.w * math.log2(1.0 + self.H_i[j] * p / (interference + scen.sigma2))
+        d = self.devices[i]
+        rate = d.w * math.log2(1.0 + self.H[i][j] * p / (interference + self.sigma2))
         if not rate > 0:
             return None
-        energy = d.c_t * (scen.I_d / rate) * p
+        inflow, I_d, c_a = self.inflow[i], self.I_d, self.c_a
+        energy = d.c_t * (I_d / rate) * p
         direct = j == self.ap
-        relay_fee = scen.c_a * (0.0 if direct else 1.0)
-        profit = self.revenue - energy - self.processing + scen.c_a * self.inflow - relay_fee
+        relay_fee = c_a * (0.0 if direct else 1.0)
+        profit = self.revenue[i] - energy - self.processing[i] + c_a * inflow - relay_fee
         late = 0.0
         if not direct:
             T_s = self.T_s
-            late = T_s[self.i] + d.T_a * self.inflow + scen.I_d / rate - T_s[j]
+            late = T_s[i] + d.T_a * inflow + I_d / rate - T_s[j]
         return profit, max(0.0, late) ** 2
 
-    def value(self, j: int, p: float, M: float) -> tuple[float, float]:
-        """Penalized profit and penalty of device i on link (j, p), p > 0:
-        `_value` of the profile with that link substituted."""
-        terms = self._terms(j, p, self.interference_at(j))
-        if terms is None:
-            raise ValueError(f"device {self.i} transmits with non-positive rate to node {j}")
-        profit, late_sq = terms
-        rho = self._rho_base(j) - late_sq
-        return profit + M * rho, rho
-
-    def best(self, M: float) -> tuple[int, float]:
-        """Highest-ranked candidate at penalty coefficient M; ties keep the
-        earlier candidate. Ranks the cached links in place: `candidates`
-        in one pass."""
-        links, reaches, ancestors = self.links, self.reaches_ap, self.ancestors
-        reached, cut, ap = self.reached, self.cut, self.ap
+    def best(self, i: int, M: float) -> tuple[int, float]:
+        """Device i's highest-ranked candidate at penalty coefficient M,
+        once caught up; ties keep the lower node, so the direct link ranks
+        last."""
+        self._catch_up(i)
+        reaches, ancestors, ap = self.reaches_ap, self.ancestors[i], self.ap
+        reached, cut, direct = self.reached[i], self.cut[i], self.direct[i]
         best_j, best_p = -1, 0.0
         best_val = -math.inf
         any_feasible = False
-        for j in self.order:
-            link = links[j]
+        for j, link in enumerate(self.links[i]):
             if link is None:
                 continue
             p, profit, late_sq = link
             if j == ap:
-                rho = self.direct - late_sq
+                rho = direct - late_sq
             elif reaches[j] and j not in ancestors:
                 rho = reached - late_sq
             else:
@@ -519,9 +521,51 @@ class _RelayContext:
         if not any_feasible:
             logger.warning(
                 "device %d has no feasible action even at p_max; "
-                "keeping the least-penalized one (target %d)", self.i, best_j
+                "keeping the least-penalized one (target %d)", i, best_j
             )
         return best_j, best_p
+
+    def move(self, i: int, j: int, p: float) -> None:
+        """Device i now transmits to node j with power p."""
+        j_old = self.targets[i]
+        self.targets[i], self.powers[i] = j, p
+        self.profile.targets[i], self.profile.powers[i] = j, p
+        if j != j_old:
+            self._label()
+            self.interference[j_old] = self.co_target_power(j_old)
+        self.interference[j] = self.co_target_power(j)
+        for k, touched in enumerate(self.touched):
+            if k != i:
+                touched.add(j_old)
+                touched.add(j)
+
+    def _gains(self, M: float, closed_form) -> np.ndarray:
+        """`unilateral_gains` at the run's profile, with `closed_form` as
+        the price deviations and each best response from the run."""
+        prices, targets, powers = self.profile.prices, self.profile.targets, self.profile.powers
+        demand, scen = self.demand, self.scen
+        gains = np.zeros(scen.n_devices)
+        for i in range(scen.n_devices):
+            q_alt = closed_form[i]
+            j_alt, p_alt = self.best(i, M)
+            same_q = q_alt == prices[i]
+            same_link = j_alt == targets[i] and p_alt == powers[i]
+            if same_q and same_link:
+                continue
+            base, _ = _value(i, prices, targets, powers, demand, scen, M)
+            val_q = val_jp = base
+            if not same_q:
+                prices_alt = prices.copy()
+                prices_alt[i] = q_alt
+                demand_alt = lower_level.best_response_demand(prices_alt, scen)
+                val_q, _ = _value(i, prices_alt, targets, powers, demand_alt, scen, M)
+            if not same_link:
+                targets_alt = targets.copy()
+                powers_alt = powers.copy()
+                targets_alt[i], powers_alt[i] = j_alt, p_alt
+                val_jp, _ = _value(i, prices, targets_alt, powers_alt, demand, scen, M)
+            gains[i] = max(val_q, val_jp) - base
+        return gains
 
 
 def relay_power_best_response(
@@ -541,11 +585,12 @@ def relay_power_best_response(
     p_max / power_grid: there the energy cost c_t * I_d * p / rate(p)
     strictly increases in p and nothing else in the objective depends
     on p, so any higher power is dominated. A floor whose rate rounds
-    to 0 raises ScenarioError. Ranking is by penalized profit; ties keep
-    the lowest device target, with the direct link ordered last. Every
-    other device must transmit with positive power.
+    to 0, or whose profit overflows, raises ScenarioError. Ranking is by
+    penalized profit; ties keep the lowest device target, with the
+    direct link ordered last. Every other device must transmit with
+    positive power.
     """
-    return _RelayContext(i, profile, demand, scen, power_grid).best(M)
+    return _Run(profile, demand, scen, power_grid).best(i, M)
 
 
 def default_init(scen: Scenario, power_grid: int = 50) -> StrategyProfile:
@@ -562,130 +607,11 @@ def _direct_start(prices: np.ndarray, scen: Scenario, power_grid: int) -> Strate
     return StrategyProfile(prices, targets, powers)
 
 
-class _RunContexts:
-    """State of one run of the dynamics on a shared, mutable profile, and
-    each device's `_RelayContext` on it, built at the device's first use.
-
-    The run keeps the profile's targets and powers, the processing times
-    T_s and the rows of H as Python lists, and per node the co-target
-    power: the received power of every device aiming at it, summed from
-    zero in ascending device order. A move re-sums it at its old and new
-    target, once for all devices. A move that changes a target also
-    labels the profile once: each node's children (the devices aiming at
-    it, ascending) and whether each device's chain reaches the access
-    point or ends in a cycle. A device's context catches up with the
-    moves the others made since its last use.
-
-    `links` holds one link-term cache per device (see `_RelayContext`).
-    Its entries stay exact for any run with the same scenario, prices,
-    demand and power grid, so the runs of one solve share it.
-    """
-
-    def __init__(
-        self,
-        profile: StrategyProfile,
-        demand: np.ndarray,
-        scen: Scenario,
-        power_grid: int,
-        links: list[dict] | None = None,
-    ):
-        n = scen.n_devices
-        self.profile, self.demand, self.scen, self.power_grid = profile, demand, scen, power_grid
-        self.start_prices = profile.prices.copy()
-        self.targets: list[int] = profile.targets.tolist()
-        self.powers: list[float] = profile.powers.tolist()
-        self.T_s: list[float] = routing.processing_times(demand, scen).tolist()
-        self.H: list[list[float]] = scen.H.tolist()
-        self.links = [{} for _ in range(n)] if links is None else links
-        self.relabels = 0  # labellings so far
-        self._label()
-        self.interference = [self.co_target_power(j) for j in range(scen.n_nodes)]
-        self._contexts: list[_RelayContext | None] = [None] * n
-        self._moves: list[tuple[int, int, int]] = []  # (device, old target, new target)
-        self._seen = [0] * n  # moves each device's context has caught up with
-
-    def _label(self) -> None:
-        """Children of every node, and whether each device's chain reaches
-        the access point; counts the devices whose chain does not."""
-        targets, ap = self.targets, self.scen.ap
-        self.children: list[list[int]] = [[] for _ in range(ap + 1)]
-        for k, t in enumerate(targets):
-            self.children[t].append(k)
-        reaches: list[bool | None] = [None] * ap
-        for k in range(ap):
-            path = []
-            node = k
-            while node != ap and reaches[node] is None:
-                reaches[node] = False  # on the walk in progress: a revisit is a cycle
-                path.append(node)
-                node = targets[node]
-            end = node == ap or reaches[node]
-            for m in path:
-                reaches[m] = end
-        self.reaches_ap = reaches
-        self.stranded = reaches.count(False)
-        self.relabels += 1
-
-    def ancestors(self, i: int) -> set[int]:
-        """The devices other than i whose forwarding chain passes through i."""
-        found: set[int] = set()
-        stack = list(self.children[i])
-        while stack:
-            k = stack.pop()
-            if k != i and k not in found:
-                found.add(k)
-                stack.extend(self.children[k])
-        return found
-
-    def co_target_power(self, j: int, without: int = -1) -> float:
-        """Received power at node j from the devices aiming at it, device
-        `without` left out, summed from zero in ascending device order."""
-        H, powers = self.H, self.powers
-        total = 0.0
-        for k in self.children[j]:
-            if k != without:
-                total += H[k][j] * powers[k]
-        return total
-
-    def context(self, i: int) -> _RelayContext:
-        """Device i's context, caught up with every move since its last use."""
-        ctx = self._contexts[i]
-        moves = self._moves
-        if ctx is None:
-            ctx = self._contexts[i] = _RelayContext(
-                i, self.profile, self.demand, self.scen, self.power_grid, self
-            )
-        elif self._seen[i] < len(moves):
-            touched = set()
-            for k, j_old, j_new in moves[self._seen[i]:]:
-                if k != i:
-                    touched.add(j_old)
-                    touched.add(j_new)
-            if touched:
-                ctx.refresh(self, touched)
-            ctx.restructure(self)
-        self._seen[i] = len(moves)
-        return ctx
-
-    def move(self, i: int, j: int, p: float) -> None:
-        """Device i now transmits to node j with power p."""
-        j_old = self.targets[i]
-        self.targets[i], self.powers[i] = j, p
-        self.profile.targets[i], self.profile.powers[i] = j, p
-        if j != j_old:
-            self._label()
-            self.interference[j_old] = self.co_target_power(j_old)
-        self.interference[j] = self.co_target_power(j)
-        self._moves.append((i, j_old, j))
-
-
 def unilateral_gains(
     profile: StrategyProfile,
     scen: Scenario,
     M: float,
     power_grid: int = 50,
-    *,
-    contexts: _RunContexts | None = None,
 ) -> np.ndarray:
     """Best-response improvement available to each device at a profile.
 
@@ -694,51 +620,13 @@ def unilateral_gains(
     `_value` the penalized-profit gain of the better of the two. A
     deviation equal to the device's current strategy would score exactly
     the current value, so it is not scored; a device whose deviations
-    both equal its strategy gains 0.
-
-    `contexts` holds the state of the dynamics run that ended at
-    `profile`, which started at the closed-form prices; the price
-    deviations are then those start prices, and each device's best
-    response comes from its own context, caught up with the moves since
-    its last turn, which equals a fresh context's bit for bit. They must
-    be that run's, on this very profile, scenario and power grid.
-    Without them the prices are solved for and every context is built
-    fresh from the profile.
+    both equal its strategy gains 0. A solve certifies the same way from
+    its forward run, whose best responses are caught up with the run's
+    last moves and equal these bit for bit.
     """
-    if contexts is None:
-        closed_form = [price_best_response(i, scen) for i in range(scen.n_devices)]
-        demand = lower_level.best_response_demand(profile.prices, scen)
-        contexts = _RunContexts(profile, demand, scen, power_grid)
-    elif not (
-        contexts.profile is profile and contexts.scen is scen and contexts.power_grid == power_grid
-    ):
-        raise ValueError("contexts belong to another run than this profile")
-    else:
-        closed_form = contexts.start_prices
-    prices, targets, powers = profile.prices, profile.targets, profile.powers
-    demand = contexts.demand
-    gains = np.zeros(scen.n_devices)
-    for i in range(scen.n_devices):
-        q_alt = closed_form[i]
-        j_alt, p_alt = contexts.context(i).best(M)
-        same_q = q_alt == prices[i]
-        same_link = j_alt == targets[i] and p_alt == powers[i]
-        if same_q and same_link:
-            continue
-        base, _ = _value(i, prices, targets, powers, demand, scen, M)
-        val_q = val_jp = base
-        if not same_q:
-            prices_alt = prices.copy()
-            prices_alt[i] = q_alt
-            demand_alt = lower_level.best_response_demand(prices_alt, scen)
-            val_q, _ = _value(i, prices_alt, targets, powers, demand_alt, scen, M)
-        if not same_link:
-            targets_alt = targets.copy()
-            powers_alt = powers.copy()
-            targets_alt[i], powers_alt[i] = j_alt, p_alt
-            val_jp, _ = _value(i, prices, targets_alt, powers_alt, demand, scen, M)
-        gains[i] = max(val_q, val_jp) - base
-    return gains
+    closed_form = [price_best_response(i, scen) for i in range(scen.n_devices)]
+    demand = lower_level.best_response_demand(profile.prices, scen)
+    return _Run(profile, demand, scen, power_grid)._gains(M, closed_form)
 
 
 def _round_robin(
@@ -748,18 +636,17 @@ def _round_robin(
     order: str,
     power_grid: int,
     profile: StrategyProfile,
-    links: list[dict] | None = None,
-) -> tuple[StrategyProfile, np.ndarray, int, bool, _RunContexts]:
+    cache: list[dict] | None = None,
+) -> tuple[StrategyProfile, np.ndarray, int, bool, _Run]:
     """Round-robin relay/power best responses from `profile`, updated in
     place, over the penalty schedule, re-converging at each coefficient.
 
     Prices stay at their starting values, the closed-form ones, and the
-    owner's demand at its response to them. The run's state
-    (`_RunContexts`) keeps one `_RelayContext` per device for the whole
-    run, built at its first turn, and looks link terms up in `links`, a
-    cache shared with the other runs of the same solve. A move is any
-    change of a device's target or of any bit of its power; a device's
-    next turn refreshes its context with the nodes that the others'
+    owner's demand at its response to them. The run's state (`_Run`)
+    keeps every device's scored links for the whole run and looks link
+    terms up in `cache`, shared with the other runs of the same solve. A
+    move is any change of a device's target or of any bit of its power;
+    a device's next turn re-scores the links whose targets the others'
     moves touched since its last turn. With no such move it only
     re-ranks its cached candidates at the current coefficient. The
     `_P_TOL` test decides only whether a device counts as changed.
@@ -768,7 +655,7 @@ def _round_robin(
     """
     n = scen.n_devices
     demand = lower_level.best_response_demand(profile.prices, scen)
-    run = _RunContexts(profile, demand, scen, power_grid, links)
+    run = _Run(profile, demand, scen, power_grid, cache)
     device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
 
     rounds = 0
@@ -779,7 +666,7 @@ def _round_robin(
             rounds += 1
             changed = 0
             for i in device_order:
-                j_new, p_new = run.context(i).best(M)
+                j_new, p_new = run.best(i, M)
                 j_old, p_old = run.targets[i], run.powers[i]
                 if j_new != j_old or abs(p_new - p_old) > _P_TOL:
                     changed += 1
@@ -804,20 +691,18 @@ def _solve(
     power_grid: int,
     order_check: bool,
 ) -> EquilibriumReport:
-    """The forward run and its report, and with order_check the reverse
-    run from the same start; both runs share one link-term cache."""
+    """The forward run, its certificate and its report, and with
+    order_check the reverse run from the same start; both runs share one
+    link-term cache."""
     cfg = cfg or PenaltyConfig()
     start = default_init(scen, power_grid)
     prices = start.prices.copy()
-    links: list[dict] = [{} for _ in range(scen.n_devices)]
+    cache: list[dict] = [{} for _ in range(scen.n_devices)]
     profile, demand, rounds, stable, run = _round_robin(
-        scen, cfg, max_iter, "forward", power_grid, start, links
+        scen, cfg, max_iter, "forward", power_grid, start, cache
     )
     n = scen.n_devices
-    M_final = cfg.m_schedule[-1]
-    gain = float(np.max(np.maximum(
-        unilateral_gains(profile, scen, M_final, power_grid, contexts=run), 0.0
-    ), initial=0.0))
+    gain = float(np.max(np.maximum(run._gains(cfg.m_schedule[-1], prices), 0.0), initial=0.0))
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
     I = profile.indicator(scen.n_nodes)
     profits = np.array([
@@ -841,7 +726,7 @@ def _solve(
     if order_check:
         alt, *_ = _round_robin(
             scen, cfg, max_iter, "reverse", power_grid, _direct_start(prices, scen, power_grid),
-            links,
+            cache,
         )
         report.order_robust = bool(
             np.array_equal(alt.targets, report.targets)
@@ -862,11 +747,10 @@ def best_response_dynamics(
 
     Every device starts direct to the access point with its price at the
     closed-form optimum (`default_init`), which no later round changes;
-    each round updates every device's
-    (target, power) link against the fixed demand. The schedule
-    re-converges the dynamics at each penalty coefficient. The
-    certificate reuses the run's per-device contexts. Non-convergence is
-    reported, never raised.
+    each round updates every device's (target, power) link against the
+    fixed demand. The schedule re-converges the dynamics at each penalty
+    coefficient. The certificate takes its best responses from the run's
+    state. Non-convergence is reported, never raised.
     """
     return _solve(scen, cfg, eps_nash, max_iter, power_grid, order_check=False)
 

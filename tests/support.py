@@ -13,10 +13,12 @@ import math
 
 import numpy as np
 
-from fedrelay import lower_level
+from fedrelay import lower_level, radio
 from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
 from fedrelay.upper_level import (
     _P_TOL,
+    _TIMING_SAFETY,
+    _Run,
     _value,
     default_init,
     price_best_response,
@@ -290,3 +292,68 @@ def unilateral_gains_oracle(profile, scen, M: float, power_grid: int = 50) -> np
         val_jp, _ = _value(i, profile.prices, targets_alt, powers_alt, demand, scen, M)
         gains[i] = max(val_q, val_jp) - base
     return gains
+
+
+# Readers of a `_Run`'s per-device state. Each takes a run on which device
+# i is caught up (`run._catch_up(i)`, as `run.best` does first).
+
+
+def caught_up_run(i, profile, demand, scen, power_grid: int = 50) -> _Run:
+    """A fresh run on `profile` with device i's state started."""
+    run = _Run(profile, demand, scen, power_grid)
+    run._catch_up(i)
+    return run
+
+
+def interference_at(run, i: int, j: int) -> float:
+    """Received power at node j from the devices other than i aiming at it."""
+    if run.targets[i] == j:
+        return run.co_target_power(j, without=i)
+    return run.interference[j]
+
+
+def interference(run, i: int) -> list[float]:
+    """`interference_at` of every node."""
+    return [interference_at(run, i, j) for j in range(run.ap + 1)]
+
+
+def rho_base(run, i: int, j: int) -> float:
+    """Rho of device i's link to node j before its lateness term."""
+    if j == run.ap:
+        return run.direct[i]
+    reached = run.reaches_ap[j] and j not in run.ancestors[i]
+    return run.reached[i] if reached else run.cut[i]
+
+
+def candidates(run, i: int) -> list[tuple[int, float, float, float]]:
+    """(j, p, profit, rho) of every candidate link of device i, in ranking order."""
+    return [
+        (j, link[0], link[1], rho_base(run, i, j) - link[2])
+        for j, link in enumerate(run.links[i])
+        if link is not None
+    ]
+
+
+def deadline_power(run, i: int, j: int) -> float:
+    """Minimal power meeting device i's arrival deadline at relay j against
+    the current co-target interference; p_max when unmeetable."""
+    d = run.devices[i]
+    slack = run.T_s[j] - run.T_s[i] - d.T_a * run.inflow[i]
+    if slack > 0:
+        try:
+            rate = run.I_d / slack * (1.0 + _TIMING_SAFETY)
+            return radio.min_power_for_rate(i, j, rate, interference_at(run, i, j), run.scen)
+        except radio.PowerLimitError:
+            pass
+    return d.p_max
+
+
+def value(run, i: int, j: int, p: float, M: float) -> tuple[float, float]:
+    """Penalized profit and penalty of device i on link (j, p), p > 0:
+    `_value` of the profile with that link substituted."""
+    terms = run._terms(i, j, p, interference_at(run, i, j))
+    if terms is None:
+        raise ValueError(f"device {i} transmits with non-positive rate to node {j}")
+    profit, late_sq = terms
+    rho = rho_base(run, i, j) - late_sq
+    return profit + M * rho, rho

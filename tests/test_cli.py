@@ -76,6 +76,22 @@ def _infinite_accuracy_c(data):
     data["devices"][1]["accuracy"]["c"] = float("inf")
 
 
+def _ragged_positions(data):
+    data["positions"][2] = [1.0]
+
+
+def _text_positions(data):
+    data["positions"][2][0] = "east"
+
+
+def _ragged_gain(data):
+    data["global"]["h"] = [[10.0, 10.0], [10.0]]
+
+
+def _text_gain(data):
+    data["global"]["h"] = "ten"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -84,6 +100,10 @@ def _infinite_accuracy_c(data):
         (_nan_relay_fee, "c_a"),
         (_infinite_accuracy_a, "accuracy coefficient a"),
         (_infinite_accuracy_c, "accuracy coefficient c"),
+        (_ragged_positions, "malformed scenario config"),
+        (_text_positions, "malformed scenario config"),
+        (_ragged_gain, "malformed scenario config"),
+        (_text_gain, "malformed scenario config"),
     ],
 )
 def test_solve_rejects_non_finite_scenario(tmp_path, capsys, corrupt, message):
@@ -165,16 +185,38 @@ def _paper9_weak_links(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("case", ["power_grid", "weak_links", "far_apart"])
+def _paper9_energy_overflow(tmp_path):
+    """Every cost and the update size inside their ranges, but the energy
+    cost c_t * I_d * p / rate of every direct link past the largest float."""
+    data = scenario_to_dict(paper9_scenario(7))
+    data["global"]["I_d"] = 1e6
+    for entry in data["devices"]:
+        entry["c_t"] = 1e308
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("case", ["power_grid", "weak_links", "far_apart", "energy_overflow"])
 def test_solve_zero_rate_direct_floor_exits_2(tmp_path, capsys, case):
     if case == "power_grid":
         source = ["--preset", "paper9", "--seed", "7", "--power-grid", "1000000000000000000"]
     else:
-        build = _paper9_weak_links if case == "weak_links" else _paper9_far_apart
+        build = {
+            "weak_links": _paper9_weak_links,
+            "far_apart": _paper9_far_apart,
+            "energy_overflow": _paper9_energy_overflow,
+        }[case]
         source = ["--scenario", str(build(tmp_path))]
+        assert main(["validate", *source]) == 0
+        capsys.readouterr()
     assert main(["solve", *source, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert "invalid config: device" in err and "rate 0" in err and "--power-grid" in err
+    assert "invalid config: device" in err and "on its direct link at the power floor" in err
+    if case == "energy_overflow":
+        assert "non-finite profit" in err and "overflows" in err
+    else:
+        assert "rate 0" in err and "--power-grid" in err
     assert "Traceback" not in err
 
 

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrelay.scenario import (
     RandomSpec,
@@ -196,6 +199,46 @@ def test_invalid_parameters_named():
     bad = {**good, "global": {**good["global"], "alpha": 10**400}}  # too large for a float
     with pytest.raises(ScenarioError, match="malformed"):
         scenario_from_dict(bad)
+    ragged = [[0.0, 0.0]] * (len(good["positions"]) - 1) + [[0.0]]
+    for positions in (ragged, [["east", 0.0]] * len(good["positions"])):
+        with pytest.raises(ScenarioError, match="malformed"):
+            scenario_from_dict({**good, "positions": positions})
+    for h in ([[10.0, 10.0], [10.0]], "ten"):
+        with pytest.raises(ScenarioError, match="malformed"):
+            scenario_from_dict({**good, "global": {**good["global"], "h": h}})
+
+
+def _leaf_paths(node, path=()):
+    """Key/index path of every non-container value in a scenario dict."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, (*path, key))]
+
+
+_PAPER9 = scenario_to_dict(paper9_scenario(7))
+_REPLACEMENTS = (None, True, False, 10**400, math.nan, "text", [[1.0, 2.0], [3.0]], {"x": 1.0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(_leaf_paths(_PAPER9)),
+    replacement=st.sampled_from(_REPLACEMENTS),
+)
+def test_scenario_from_dict_raises_only_scenario_error(path, replacement):
+    data = copy.deepcopy(_PAPER9)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = replacement
+    try:
+        scen = scenario_from_dict(data)
+    except ScenarioError:
+        return
+    assert scen.n_devices == len(_PAPER9["devices"])
 
 
 def test_device_params_validated():

@@ -29,8 +29,7 @@ from fedrelay.upper_level import (
     relay_power_best_response,
     solve_stackelberg,
     unilateral_gains,
-    _RelayContext,
-    _RunContexts,
+    _Run,
     _round_robin,
     _value,
 )
@@ -39,13 +38,18 @@ from support import (
     ENDS_AT_AP,
     ENDS_AT_I,
     ENDS_IN_CYCLE,
+    candidates,
+    caught_up_run,
     chain_ends,
+    deadline_power,
     grid_argmax_price,
+    interference,
     make_device,
     make_scenario,
     profit_oracle,
     round_robin_oracle,
     unilateral_gains_oracle,
+    value,
 )
 
 M_FINAL = PenaltyConfig().m_schedule[-1]
@@ -406,10 +410,10 @@ def test_relay_context_matches_matrix_value():
         T_s = routing.processing_times(demand, scen)
         i = int(rng.integers(n))
         inflow = sum(1 for k in range(n) if k != i and profile.targets[k] == i)
-        ctx = _RelayContext(i, profile, demand, scen)
+        run = caught_up_run(i, profile, demand, scen)
         p_max = scen.devices[i].p_max
         for j in [t for t in range(n + 1) if t != i]:
-            first = p_max / 50 if j == n else ctx.deadline_power(j)
+            first = p_max / 50 if j == n else deadline_power(run, i, j)
             for p in (first, rng.uniform(1e-3, 1.0) * p_max):
                 targets, powers = profile.targets.copy(), profile.powers.copy()
                 targets[i], powers[i] = j, p
@@ -425,7 +429,7 @@ def test_relay_context_matches_matrix_value():
                 late = routing.timing_violations(I, demand, rates, scen)[i] > 0
                 seen["late"] += late
                 for M in DEFAULT_M_SCHEDULE:
-                    val, rho = ctx.value(j, p, M)
+                    val, rho = value(run, i, j, p, M)
                     want_val, want_rho = _value(
                         i, profile.prices, targets, powers, demand, scen, M
                     )
@@ -689,21 +693,25 @@ def certificate_runs():
 
 def test_solve_certificate_equals_fresh_oracle(monkeypatch):
     seen = []
-    original = upper_level.unilateral_gains
+    original = _Run._gains
 
-    def recorded(*args, **kwargs):
-        gains = original(*args, **kwargs)
-        seen.append((kwargs.get("contexts") is not None, gains))
+    def recorded(run, *args, **kwargs):
+        gains = original(run, *args, **kwargs)
+        seen.append((run, gains))
         return gains
 
-    monkeypatch.setattr(upper_level, "unilateral_gains", recorded)
+    def fresh(*args, **kwargs):
+        raise AssertionError("a solve certifies from its forward run")
+
+    monkeypatch.setattr(_Run, "_gains", recorded)
+    monkeypatch.setattr(upper_level, "unilateral_gains", fresh)
     positive = 0
     for label, scen, max_iter in certificate_runs():
         seen.clear()
         rep = best_response_dynamics(scen, max_iter=max_iter)
-        [(from_run, gains)] = seen
+        [(run, gains)] = seen
         want = unilateral_gains_oracle(rep.profile(), scen, M_FINAL)
-        assert from_run, label
+        assert run.profile.targets is rep.targets, label
         assert np.array_equal(gains, want), label
         assert rep.max_unilateral_gain == float(np.max(np.maximum(want, 0.0), initial=0.0)), label
         positive += rep.max_unilateral_gain > 0
@@ -719,47 +727,37 @@ def test_certificate_scores_price_deviations_like_oracle(paper9_report, paper9_s
 
 
 def test_certificate_reuses_run_contexts(monkeypatch):
-    counts = {"_value": 0, "contexts": 0}
+    counts = {"_value": 0, "started": 0, "min_power_for_rate": 0}
     inside = False
-    original_gains, original_value = upper_level.unilateral_gains, upper_level._value
-    original_init = _RelayContext.__init__
+    original_gains, original_value = _Run._gains, upper_level._value
+    original_min_power = radio.min_power_for_rate
 
-    def gains(*args, **kwargs):
+    def gains(run, *args, **kwargs):
         nonlocal inside
+        unstarted = run.links.count(None)
         inside = True
         try:
-            return original_gains(*args, **kwargs)
+            return original_gains(run, *args, **kwargs)
         finally:
             inside = False
+            counts["started"] += unstarted - run.links.count(None)
 
     def value(*args, **kwargs):
         counts["_value"] += inside
         return original_value(*args, **kwargs)
 
-    def init(self, *args, **kwargs):
-        counts["contexts"] += inside
-        original_init(self, *args, **kwargs)
+    def min_power(*args, **kwargs):
+        counts["min_power_for_rate"] += inside
+        return original_min_power(*args, **kwargs)
 
-    monkeypatch.setattr(upper_level, "unilateral_gains", gains)
+    monkeypatch.setattr(_Run, "_gains", gains)
     monkeypatch.setattr(upper_level, "_value", value)
-    monkeypatch.setattr(_RelayContext, "__init__", init)
+    monkeypatch.setattr(radio, "min_power_for_rate", min_power)
     rep = best_response_dynamics(paper9_scenario(7))
     assert rep.converged and rep.max_unilateral_gain == 0.0
-    # the last round moved nothing, so every best response is the current strategy
-    assert counts == {"_value": 0, "contexts": 0}
-
-
-def test_certificate_rejects_contexts_of_another_profile():
-    scen = paper9_scenario(7)
-    profile, _, _, _, contexts = _round_robin(
-        scen, PenaltyConfig(), 100, "forward", 50, default_init(scen)
-    )
-    want = unilateral_gains_oracle(profile, scen, M_FINAL)
-    with pytest.raises(ValueError, match="another run"):
-        unilateral_gains(profile.copy(), scen, M_FINAL, contexts=contexts)
-    with pytest.raises(ValueError, match="another run"):
-        unilateral_gains(profile, scen, M_FINAL, power_grid=25, contexts=contexts)
-    assert np.array_equal(unilateral_gains(profile, scen, M_FINAL, contexts=contexts), want)
+    # the last round moved nothing, so every best response is the current
+    # strategy, ranked from the links each device scored on its last turn
+    assert counts == {"_value": 0, "started": 0, "min_power_for_rate": 0}
 
 
 def test_nonconvergence_is_reported_not_raised():
@@ -890,8 +888,7 @@ def test_relay_context_refresh_equals_fresh_context():
         profile = random_profile(rng, scen)
         demand = best_response_demand(profile.prices, scen)
         i = int(rng.integers(n))
-        run = _RunContexts(profile, demand, scen, 50)
-        ctx = run.context(i)
+        run = caught_up_run(i, profile, demand, scen)
         targets, powers = profile.targets.tolist(), profile.powers.tolist()
         for _ in range(30):
             touched = set()
@@ -905,19 +902,18 @@ def test_relay_context_refresh_equals_fresh_context():
                 seen["ap_touched"] += scen.ap in touched
                 seen["power_only"] += targets == before[1] and powers != before[2]
                 seen["own_move"] += targets[i] != before[1][i]
-            assert run.context(i) is ctx
-            fresh = _RelayContext(
-                i, StrategyProfile(profile.prices, targets, powers), demand, scen
-            )
+            run._catch_up(i)
+            fresh = caught_up_run(i, StrategyProfile(profile.prices, targets, powers), demand, scen)
             others = [j for j in range(scen.n_nodes) if j != i]  # no candidate targets i
-            assert [ctx.interference[j] for j in others] == [fresh.interference[j] for j in others]
-            assert ctx.links == fresh.links
-            assert ctx.candidates == fresh.candidates
+            got, want = interference(run, i), interference(fresh, i)
+            assert [got[j] for j in others] == [want[j] for j in others]
+            assert run.links[i] == fresh.links[i]
+            assert candidates(run, i) == candidates(fresh, i)
             resummed = [0.0] * scen.n_nodes
             for k in range(n):
                 resummed[targets[k]] += scen.H[k, targets[k]] * powers[k]
             assert run.interference == resummed
-            ancestors = run.ancestors(i)
+            ancestors = run.ancestors[i]
             labels = [
                 ENDS_AT_I if k == i or k in ancestors
                 else ENDS_AT_AP if run.reaches_ap[k] else ENDS_IN_CYCLE
@@ -973,13 +969,13 @@ def test_relay_br_drops_zero_rate_relay_links(far, h_relay):
     assert (scen.H[0, 1] == 0.0) == (h_relay < 1.0)
     profile = default_init(scen)
     demand = best_response_demand(profile.prices, scen)
-    ctx = _RelayContext(0, profile, demand, scen)
+    run = caught_up_run(0, profile, demand, scen)
     assert routing.processing_times(demand, scen)[1] > routing.processing_times(demand, scen)[0]
-    assert ctx.links[1] is None
-    assert [c[0] for c in ctx.candidates] == [scen.ap]
+    assert run.links[0][1] is None
+    assert [c[0] for c in candidates(run, 0)] == [scen.ap]
     assert relay_power_best_response(0, profile, demand, scen, M_FINAL)[0] == scen.ap
     with pytest.raises(ValueError, match="non-positive rate"):
-        ctx.value(1, scen.devices[0].p_max, M_FINAL)
+        value(run, 0, 1, scen.devices[0].p_max, M_FINAL)
 
 
 def test_round_robin_logs_one_debug_record_per_round(caplog):
