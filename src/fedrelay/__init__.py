@@ -41,13 +41,11 @@ from .upper_level import (
     EquilibriumReport,
     PenaltyConfig,
     StrategyProfile,
-    best_response_dynamics,
     device_profit,
     penalized_profit,
     penalty_rho,
     price_best_response,
     reduced_profit,
-    relay_power_best_response,
     solve_stackelberg,
 )
 

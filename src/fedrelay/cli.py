@@ -72,6 +72,8 @@ class RunConfig:
             raise ScenarioError("--seed is required with --preset and --random")
         if self.power_grid < 1:
             raise ScenarioError(f"--power-grid must be >= 1, got {self.power_grid}")
+        if self.power_grid > sys.float_info.max:  # p_max / N would overflow
+            raise ScenarioError(f"--power-grid must be at most {sys.float_info.max:g}")
         if self.max_iter < 1:
             raise ScenarioError(f"--max-iter must be >= 1, got {self.max_iter}")
         if not (math.isfinite(self.eps_nash) and self.eps_nash >= 0):

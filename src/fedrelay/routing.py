@@ -198,12 +198,15 @@ def routing_adjacency(targets: np.ndarray, n_devices: int) -> dict[str, str]:
 
 
 def adjacency_to_targets(adj: dict, n_devices: int) -> np.ndarray:
-    """Inverse of routing_adjacency; every device must be named."""
+    """Inverse of routing_adjacency; every device must be named, and each
+    next hop is "N_D" or a 1-based device id, as an integer or its text."""
     targets = np.full(n_devices, -1, dtype=int)
     for key, value in adj.items():
         i = int(key) - 1
         if not 0 <= i < n_devices:
             raise ValueError(f"device id {key} out of range")
+        if isinstance(value, (bool, float)):  # int() would truncate them
+            raise ValueError(f"target {value!r} of device {key} is not an integer")
         t = n_devices if value == "N_D" else int(value) - 1
         if not 0 <= t <= n_devices:
             raise ValueError(f"target {value} of device {key} out of range")

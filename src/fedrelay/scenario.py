@@ -63,6 +63,10 @@ class AccuracyModel:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             _check(f"accuracy coefficient {name}", getattr(self, name), 0.0)
+        if not math.isfinite(float(self.c) * float(self.b)):  # the demand response's c * b
+            raise ScenarioError(
+                f"accuracy coefficients c * b overflow (c = {self.c:g}, b = {self.b:g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,9 @@ class Scenario:
         _check("noise power sigma2", self.sigma2, SIGMA2_MIN, at_least=True, at_most=SIGMA2_MAX)
         _check("update size I_d", self.I_d, 0.0, at_most=I_D_MAX)
         _check("relay fee c_a", self.c_a, 0.0, at_least=True)
+        # bounds the owner's utility, a sum of terms within [a_i - b_i, a_i]
+        if not math.isfinite(sum(d.accuracy.a + d.accuracy.b for d in self.devices)):
+            raise ScenarioError("accuracy coefficients overflow: the sum of a + b is not finite")
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")
@@ -266,7 +273,10 @@ def _seeded_scenario(
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}") from exc
-    positions = rng.uniform(0.0, spec.area, size=(n + 1, 2))
+    try:
+        positions = rng.uniform(0.0, spec.area, size=(n + 1, 2))
+    except ValueError as exc:  # past numpy's array limits, before any allocation
+        raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
     c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
     cb = acc_c * acc_a
     s_max = np.log(cb / _price_floor(cb)) / acc_c

@@ -15,18 +15,22 @@ priced into the objective via an increasing schedule of penalty
 coefficients, so infeasible strategies are dominated once the
 coefficient is large.
 
-A run of the dynamics is one object, `_Run`: the targets and powers,
-the co-target power at each node, the profile's structure (each node's
-children, and whether each device's chain reaches the access point),
-updated once per move, and per device its scored candidates, kept for
-the whole run. A candidate's profit and penalty do not depend on the
-penalty coefficient, so a new coefficient only re-ranks them; another
-device's move re-scores only the links whose target it touched, or all
-of them when it changes the device's inflow. A link's terms are a pure
-function of its target, the device's inflow and the interference there,
-so the forward run, its certificate and the reverse-order run of one
-solve share a cache of them and score no link twice. The equilibrium
-certificate takes each device's best response from the forward run.
+`solve_stackelberg` is the one solver. It prices every device once
+(`default_init`), computes the owner's demand once, and runs the
+dynamics on a `_Run` in forward device order and, for the order check,
+in reverse order from the same start. A run holds the targets and
+powers as lists, the co-target power at each node, the profile's
+structure (each node's children, and whether each device's chain
+reaches the access point), updated once per move, and per device its
+scored candidates, kept for the whole run. A candidate's profit and
+penalty do not depend on the penalty coefficient, so a new coefficient
+only re-ranks them; another device's move re-scores only the links
+whose target it touched, or all of them when it changes the device's
+inflow. A link's terms are a pure function of its target, the device's
+inflow and the interference there, so the forward run, its certificate
+and the reverse run share a cache of them and score no link twice. The
+equilibrium certificate takes each device's best response from the
+forward run.
 """
 
 from __future__ import annotations
@@ -241,7 +245,7 @@ def _value(i, prices, targets, powers, demand, scen, M) -> tuple[float, float]:
     the indicator of the positive-power links, and the penalty that
     `routing.feasible` reports with, chain termination included. The
     certificate in `unilateral_gains` scores with it, independently of
-    the O(1) candidate evaluation in `relay_power_best_response`.
+    the O(1) candidate evaluation in `_Run.best`.
     """
     I = routing.indicator_from_powers(routing.power_matrix(targets, powers, scen.n_nodes))
     rates = radio.transmission_rates(targets, powers, scen)
@@ -283,32 +287,31 @@ _UNSCORED = object()
 
 
 class _Run:
-    """State of one run of the dynamics on a shared, mutable profile, and
-    each device's relay/power best response against the others, who are
-    held fixed, kept up to date as they move.
+    """One run of the round-robin dynamics from a start profile, which it
+    does not modify, and each device's relay/power best response against
+    the others, who are held fixed, kept up to date as they move.
 
-    The run keeps the profile's targets and powers, the processing times
-    T_s and the rows of H as Python lists, and per node the co-target
-    power: the received power of every device aiming at it, summed from
-    zero in ascending device order. A move re-sums it at its old and new
-    target, once for all devices, and adds both targets to every other
-    device's `touched` set. A move that changes a target also labels the
-    profile once: each node's children (the devices aiming at it,
-    ascending) and whether each device's chain reaches the access point
-    or ends in a cycle.
+    The run keeps the start prices, its own targets and powers, the
+    processing times T_s and the rows of H as Python lists, and per node
+    the co-target power: the received power of every device aiming at
+    it, summed from zero in ascending device order. A move re-sums it at
+    its old and new target, once for all devices, and adds both targets
+    to every other device's `touched` set. A move that changes a target
+    also labels the profile once: each node's children (the devices
+    aiming at it, ascending) and whether each device's chain reaches the
+    access point or ends in a cycle. `profile()` builds the current
+    profile on request.
 
     Device i's state starts at its first `best` and is kept in per-device
     lists. Per candidate target j (every other node), `links[i][j]` holds
     the link terms that cost a `min_power_for_rate` and a `log2`: the
     power, the profit and the squared lateness, or None for a link that
-    is not a candidate. The power is the deadline-matching one on a relay
-    link and the floor p_max / power_grid on the direct link. Given the
-    scenario, the prices, the demand and the floor, the terms of link j
-    depend only on device i's inflow and the co-target interference at
-    j, so they are looked up in `cache[i]` under (j, inflow,
-    interference) and computed only on a miss. The cache stays exact for
-    any run with the same scenario, prices, demand and power grid, so the
-    runs of one solve share it.
+    is not a candidate. Given the scenario, the prices, the demand and
+    the power grid, the terms of link j depend only on device i's inflow
+    and the co-target interference at j, so they are looked up in
+    `cache[i]` under (j, inflow, interference) and computed only on a
+    miss. The cache stays exact for any run with the same scenario,
+    prices, demand and power grid, so the runs of one solve share it.
 
     `best(i, M)` first catches device i up: it looks a link up again only
     when its target is in `touched[i]`, or every link when device i's
@@ -332,21 +335,21 @@ class _Run:
 
     def __init__(
         self,
-        profile: StrategyProfile,
+        start: StrategyProfile,
         demand: np.ndarray,
         scen: Scenario,
         power_grid: int,
         cache: list[dict] | None = None,
     ):
         n = scen.n_devices
-        self.profile, self.demand, self.scen = profile, demand, scen
+        self.prices, self.demand, self.scen = start.prices, demand, scen
         self.ap, self.devices = n, scen.devices
         self.sigma2, self.I_d, self.c_a = scen.sigma2, scen.I_d, scen.c_a
-        self.targets: list[int] = profile.targets.tolist()
-        self.powers: list[float] = profile.powers.tolist()
+        self.targets: list[int] = start.targets.tolist()
+        self.powers: list[float] = start.powers.tolist()
         self.T_s: list[float] = routing.processing_times(demand, scen).tolist()
         self.H: list[list[float]] = scen.H.tolist()
-        self.revenue = [float(profile.prices[i] * demand[i]) for i in range(n)]
+        self.revenue = [float(start.prices[i] * demand[i]) for i in range(n)]
         self.processing = [float(d.c_p * demand[i]) for i, d in enumerate(self.devices)]
         self.floor = [d.p_max / power_grid for d in self.devices]
         self.cache = [{} for _ in range(n)] if cache is None else cache
@@ -493,9 +496,20 @@ class _Run:
         return profit, max(0.0, late) ** 2
 
     def best(self, i: int, M: float) -> tuple[int, float]:
-        """Device i's highest-ranked candidate at penalty coefficient M,
-        once caught up; ties keep the lower node, so the direct link ranks
-        last."""
+        """Best (target, power) for device i at penalty coefficient M with
+        everyone else held fixed, once caught up.
+
+        Device targets get the minimal power meeting the arrival deadline
+        against the current co-target interference (p_max when the
+        deadline is unmeetable); a relay link whose power or rate rounds
+        to 0 is not a candidate. The direct link gets the power floor
+        p_max / power_grid: there the energy cost c_t * I_d * p / rate(p)
+        strictly increases in p and nothing else in the objective depends
+        on p, so any higher power is dominated. A floor whose rate rounds
+        to 0, or whose profit overflows, raises ScenarioError. Ranking is
+        by penalized profit; ties keep the lower node, so the direct link
+        ranks last. Every other device must transmit with positive power.
+        """
         self._catch_up(i)
         reaches, ancestors, ap = self.reaches_ap, self.ancestors[i], self.ap
         reached, cut, direct = self.reached[i], self.cut[i], self.direct[i]
@@ -529,7 +543,6 @@ class _Run:
         """Device i now transmits to node j with power p."""
         j_old = self.targets[i]
         self.targets[i], self.powers[i] = j, p
-        self.profile.targets[i], self.profile.powers[i] = j, p
         if j != j_old:
             self._label()
             self.interference[j_old] = self.co_target_power(j_old)
@@ -539,11 +552,47 @@ class _Run:
                 touched.add(j_old)
                 touched.add(j)
 
+    def profile(self) -> StrategyProfile:
+        """The run's current profile, as a new StrategyProfile."""
+        return StrategyProfile(self.prices.copy(), self.targets, self.powers)
+
+    def settle(self, m_schedule, max_iter: int, order: str) -> tuple[int, bool]:
+        """Round-robin best responses, in forward or reverse device order,
+        re-converging at each coefficient of `m_schedule`; returns the
+        rounds and whether the last stage settled. A move is any change of
+        a target or of any bit of a power; the `_P_TOL` test decides only
+        whether a device counts as changed."""
+        n = self.ap
+        device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
+        rounds = 0
+        stable = False
+        for M in m_schedule:
+            stable = False
+            for _ in range(max_iter):
+                rounds += 1
+                changed = 0
+                for i in device_order:
+                    j_new, p_new = self.best(i, M)
+                    j_old, p_old = self.targets[i], self.powers[i]
+                    if j_new != j_old or abs(p_new - p_old) > _P_TOL:
+                        changed += 1
+                    if j_new != j_old or p_new != p_old:
+                        self.move(i, j_new, p_new)
+                logger.debug(
+                    "%s order, M=%g, round %d: %d of %d devices changed", order, M, rounds, changed, n
+                )
+                if not changed:
+                    stable = True
+                    break
+            if not stable:
+                logger.warning("dynamics did not settle within %d rounds at M=%g", max_iter, M)
+        return rounds, stable
+
     def _gains(self, M: float, closed_form) -> np.ndarray:
         """`unilateral_gains` at the run's profile, with `closed_form` as
         the price deviations and each best response from the run."""
-        prices, targets, powers = self.profile.prices, self.profile.targets, self.profile.powers
-        demand, scen = self.demand, self.scen
+        prices, demand, scen = self.prices, self.demand, self.scen
+        targets, powers = np.array(self.targets), np.array(self.powers)
         gains = np.zeros(scen.n_devices)
         for i in range(scen.n_devices):
             q_alt = closed_form[i]
@@ -568,43 +617,12 @@ class _Run:
         return gains
 
 
-def relay_power_best_response(
-    i: int,
-    profile: StrategyProfile,
-    demand: np.ndarray,
-    scen: Scenario,
-    M: float,
-    power_grid: int = 50,
-) -> tuple[int, float]:
-    """Best (target, power) for device i with everyone else held fixed.
-
-    Device targets get the minimal power meeting the arrival deadline
-    against the current co-target interference (power bound when the
-    deadline is unmeetable); a relay link whose power or rate rounds to 0
-    is not a candidate. The direct link gets the power floor
-    p_max / power_grid: there the energy cost c_t * I_d * p / rate(p)
-    strictly increases in p and nothing else in the objective depends
-    on p, so any higher power is dominated. A floor whose rate rounds
-    to 0, or whose profit overflows, raises ScenarioError. Ranking is by
-    penalized profit; ties keep the lowest device target, with the
-    direct link ordered last. Every other device must transmit with
-    positive power.
-    """
-    return _Run(profile, demand, scen, power_grid).best(i, M)
-
-
 def default_init(scen: Scenario, power_grid: int = 50) -> StrategyProfile:
     """Everyone direct to the access point at the lowest grid power,
     prices at their closed-form optimum."""
     prices = np.array([price_best_response(i, scen) for i in range(scen.n_devices)])
-    return _direct_start(prices, scen, power_grid)
-
-
-def _direct_start(prices: np.ndarray, scen: Scenario, power_grid: int) -> StrategyProfile:
-    """Everyone direct to the access point at the lowest grid power, at `prices`."""
     targets = np.full(scen.n_devices, scen.ap, dtype=int)
-    powers = scen.param("p_max") / power_grid
-    return StrategyProfile(prices, targets, powers)
+    return StrategyProfile(prices, targets, scen.param("p_max") / power_grid)
 
 
 def unilateral_gains(
@@ -629,80 +647,37 @@ def unilateral_gains(
     return _Run(profile, demand, scen, power_grid)._gains(M, closed_form)
 
 
-def _round_robin(
+def solve_stackelberg(
     scen: Scenario,
-    cfg: PenaltyConfig,
-    max_iter: int,
-    order: str,
-    power_grid: int,
-    profile: StrategyProfile,
-    cache: list[dict] | None = None,
-) -> tuple[StrategyProfile, np.ndarray, int, bool, _Run]:
-    """Round-robin relay/power best responses from `profile`, updated in
-    place, over the penalty schedule, re-converging at each coefficient.
-
-    Prices stay at their starting values, the closed-form ones, and the
-    owner's demand at its response to them. The run's state (`_Run`)
-    keeps every device's scored links for the whole run and looks link
-    terms up in `cache`, shared with the other runs of the same solve. A
-    move is any change of a device's target or of any bit of its power;
-    a device's next turn re-scores the links whose targets the others'
-    moves touched since its last turn. With no such move it only
-    re-ranks its cached candidates at the current coefficient. The
-    `_P_TOL` test decides only whether a device counts as changed.
-    Returns the profile, the demand, the number of rounds, whether the
-    last stage settled, and the run's state.
-    """
-    n = scen.n_devices
-    demand = lower_level.best_response_demand(profile.prices, scen)
-    run = _Run(profile, demand, scen, power_grid, cache)
-    device_order = range(n - 1, -1, -1) if order == "reverse" else range(n)
-
-    rounds = 0
-    stable = False
-    for M in cfg.m_schedule:
-        stable = False
-        for _ in range(max_iter):
-            rounds += 1
-            changed = 0
-            for i in device_order:
-                j_new, p_new = run.best(i, M)
-                j_old, p_old = run.targets[i], run.powers[i]
-                if j_new != j_old or abs(p_new - p_old) > _P_TOL:
-                    changed += 1
-                if j_new != j_old or p_new != p_old:
-                    run.move(i, j_new, p_new)
-            logger.debug(
-                "%s order, M=%g, round %d: %d of %d devices changed", order, M, rounds, changed, n
-            )
-            if not changed:
-                stable = True
-                break
-        if not stable:
-            logger.warning("dynamics did not settle within %d rounds at M=%g", max_iter, M)
-    return profile, demand, rounds, stable, run
-
-
-def _solve(
-    scen: Scenario,
-    cfg: PenaltyConfig | None,
-    eps_nash: float,
-    max_iter: int,
-    power_grid: int,
-    order_check: bool,
+    cfg: PenaltyConfig | None = None,
+    eps_nash: float = 1e-6,
+    max_iter: int = 100,
+    power_grid: int = 50,
+    order_check: bool = True,
 ) -> EquilibriumReport:
-    """The forward run, its certificate and its report, and with
-    order_check the reverse run from the same start; both runs share one
-    link-term cache."""
+    """Full bilevel solve: leader dynamics, then the follower response
+    and owner utility at the resulting profile.
+
+    Every device starts direct to the access point with its price at the
+    closed-form optimum (`default_init`), which no round changes, and the
+    owner's demand is computed once, for those prices. The dynamics run
+    forward over the penalty schedule; the certificate takes its best
+    responses from the run. Non-convergence is reported, never raised.
+    With order_check the dynamics also run in reverse device order from
+    the same start, sharing the forward run's link-term cache, and the
+    report, which describes the forward profile, records whether both
+    orders reach the same targets and powers.
+    """
     cfg = cfg or PenaltyConfig()
-    start = default_init(scen, power_grid)
-    prices = start.prices.copy()
-    cache: list[dict] = [{} for _ in range(scen.n_devices)]
-    profile, demand, rounds, stable, run = _round_robin(
-        scen, cfg, max_iter, "forward", power_grid, start, cache
-    )
     n = scen.n_devices
-    gain = float(np.max(np.maximum(run._gains(cfg.m_schedule[-1], prices), 0.0), initial=0.0))
+    start = default_init(scen, power_grid)
+    demand = lower_level.best_response_demand(start.prices, scen)
+    cache: list[dict] = [{} for _ in range(n)]
+    run = _Run(start, demand, scen, power_grid, cache)
+    rounds, stable = run.settle(cfg.m_schedule, max_iter, "forward")
+    gains = run._gains(cfg.m_schedule[-1], start.prices)
+    gain = float(np.max(np.maximum(gains, 0.0), initial=0.0))
+    profile = run.profile()
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
     I = profile.indicator(scen.n_nodes)
     profits = np.array([
@@ -724,53 +699,10 @@ def _solve(
         violations=violations,
     )
     if order_check:
-        alt, *_ = _round_robin(
-            scen, cfg, max_iter, "reverse", power_grid, _direct_start(prices, scen, power_grid),
-            cache,
-        )
+        reverse = _Run(start, demand, scen, power_grid, cache)
+        reverse.settle(cfg.m_schedule, max_iter, "reverse")
         report.order_robust = bool(
-            np.array_equal(alt.targets, report.targets)
-            and np.allclose(alt.powers, report.powers, rtol=0, atol=1e-9)
+            np.array_equal(reverse.targets, report.targets)
+            and np.allclose(reverse.powers, report.powers, rtol=0, atol=1e-9)
         )
     return report
-
-
-def best_response_dynamics(
-    scen: Scenario,
-    cfg: PenaltyConfig | None = None,
-    eps_nash: float = 1e-6,
-    max_iter: int = 100,
-    power_grid: int = 50,
-) -> EquilibriumReport:
-    """Round-robin best-response iteration over an increasing penalty
-    schedule, and the report at the profile it ends on.
-
-    Every device starts direct to the access point with its price at the
-    closed-form optimum (`default_init`), which no later round changes;
-    each round updates every device's (target, power) link against the
-    fixed demand. The schedule re-converges the dynamics at each penalty
-    coefficient. The certificate takes its best responses from the run's
-    state. Non-convergence is reported, never raised.
-    """
-    return _solve(scen, cfg, eps_nash, max_iter, power_grid, order_check=False)
-
-
-def solve_stackelberg(
-    scen: Scenario,
-    cfg: PenaltyConfig | None = None,
-    eps_nash: float = 1e-6,
-    max_iter: int = 100,
-    power_grid: int = 50,
-    order_check: bool = True,
-) -> EquilibriumReport:
-    """Full bilevel solve: leader dynamics, then the follower response
-    and owner utility at the resulting profile.
-
-    With order_check the round-robin loop also runs in reverse device
-    order, from the same start as the forward run (its prices are the
-    forward run's, so they are not solved for again), and the report records
-    whether both orders reach the same targets and powers (prices are
-    fixed before either run); the report itself describes the forward
-    profile only. The two runs share their link-term cache.
-    """
-    return _solve(scen, cfg, eps_nash, max_iter, power_grid, order_check)

@@ -22,7 +22,6 @@ from fedrelay.upper_level import (
     _value,
     default_init,
     price_best_response,
-    relay_power_best_response,
 )
 
 
@@ -246,10 +245,24 @@ def grid_argmax_price(i: int, scen, step: float = 1e-6, q_lo: float | None = Non
     return _concave_grid_argmax(margin, q_lo, cb, step)
 
 
+def fresh_best_response(i, profile, demand, scen, M: float, power_grid: int = 50):
+    """Device i's relay/power best response from a fresh run on `profile`."""
+    return _Run(profile, demand, scen, power_grid).best(i, M)
+
+
+def settled_run(scen, cfg, max_iter: int, order: str, power_grid: int = 50):
+    """`_Run.settle` from `default_init`: profile, demand, rounds, stable."""
+    start = default_init(scen, power_grid)
+    demand = lower_level.best_response_demand(start.prices, scen)
+    run = _Run(start, demand, scen, power_grid)
+    rounds, stable = run.settle(cfg.m_schedule, max_iter, order)
+    return run.profile(), demand, rounds, stable
+
+
 def round_robin_oracle(scen, cfg, max_iter: int, order: str, power_grid: int):
     """The round-robin dynamics with every best response built fresh from
-    the whole profile by `relay_power_best_response`; returns what
-    `upper_level._round_robin` does: profile, demand, rounds, stable."""
+    the whole profile by `fresh_best_response`; returns what `settled_run`
+    does: profile, demand, rounds, stable."""
     n = scen.n_devices
     profile = default_init(scen, power_grid)
     demand = lower_level.best_response_demand(profile.prices, scen)
@@ -262,7 +275,7 @@ def round_robin_oracle(scen, cfg, max_iter: int, order: str, power_grid: int):
             rounds += 1
             changed = 0
             for i in device_order:
-                j_new, p_new = relay_power_best_response(i, profile, demand, scen, M, power_grid)
+                j_new, p_new = fresh_best_response(i, profile, demand, scen, M, power_grid)
                 if j_new != profile.targets[i] or abs(p_new - profile.powers[i]) > _P_TOL:
                     changed += 1
                 profile.targets[i] = j_new
@@ -285,7 +298,7 @@ def unilateral_gains_oracle(profile, scen, M: float, power_grid: int = 50) -> np
         prices_alt[i] = price_best_response(i, scen)
         demand_alt = lower_level.best_response_demand(prices_alt, scen)
         val_q, _ = _value(i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M)
-        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M, power_grid)
+        j_alt, p_alt = fresh_best_response(i, profile, demand, scen, M, power_grid)
         targets_alt = profile.targets.copy()
         powers_alt = profile.powers.copy()
         targets_alt[i], powers_alt[i] = j_alt, p_alt

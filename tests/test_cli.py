@@ -257,6 +257,43 @@ def test_overflowing_path_loss_exit_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def _huge_accuracy_everywhere(data):
+    for d in data["devices"]:
+        d["accuracy"]["a"] = d["accuracy"]["b"] = 1e308
+
+
+def _huge_accuracy_device_0(data):
+    data["devices"][0]["accuracy"]["a"] = data["devices"][0]["accuracy"]["b"] = 1e308
+
+
+def _huge_accuracy_a_twice(data):
+    # each c * b stays finite; only the owner's utility, a sum, overflows
+    for d in data["devices"][:2]:
+        d["accuracy"]["a"] = 1e308
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize(
+    "corrupt", [_huge_accuracy_everywhere, _huge_accuracy_device_0, _huge_accuracy_a_twice]
+)
+def test_overflowing_accuracy_curve_exit_2(tmp_path, capsys, command, corrupt):
+    data = scenario_to_dict(paper9_scenario(7))
+    corrupt(data)
+    path = tmp_path / "accuracy.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--scenario", str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "run")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "accuracy coefficients" in err and "overflow" in err
+    assert "Traceback" not in err
+
+
 def test_solve_large_power_grid_writes_finite_artifacts(tmp_path):
     out = tmp_path / "run"
     argv = ["solve", "--preset", "paper9", "--seed", "7", "--power-grid", "100000000000000"]
@@ -270,11 +307,29 @@ def test_solve_large_power_grid_writes_finite_artifacts(tmp_path):
         assert all(cell.lower() not in ("nan", "inf", "-inf") for cell in row), row
 
 
-def test_solve_rejects_power_grid_below_one(tmp_path, capsys):
+@pytest.mark.parametrize("grid", [0, 10**400], ids=["zero", "beyond_float"])
+def test_solve_rejects_power_grid_below_one(tmp_path, capsys, grid):
     code = main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(tmp_path / "run"),
-                 "--power-grid", "0"])
+                 "--power-grid", str(grid)])
     assert code == 2
-    assert "--power-grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--power-grid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--random", str(10**30), "--seed", "1"],
+        ["validate", "--random", str(2**62), "--seed", "1"],
+    ],
+    ids=["solve_1e30", "validate_2e62"],
+)
+def test_random_beyond_array_limit_exits_2(tmp_path, capsys, argv):
+    # numpy refuses both sizes before allocating anything
+    if argv[0] == "solve":
+        argv = [*argv, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "too many devices" in capsys.readouterr().err
 
 
 def test_validate_requires_exactly_one_source(tmp_path, capsys):
@@ -531,6 +586,9 @@ def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
     assert "invalid config" in err and message in err
 
 
+ALL_DIRECT = {str(k): "N_D" for k in range(1, 10)}
+
+
 @pytest.mark.parametrize(
     "adj, message",
     [
@@ -542,6 +600,8 @@ def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
         ({"1": None}, "TypeError"),
         (["N_D"], "AttributeError"),
         ({"2": "N_D"}, "devices [1, 3, 4, 5, 6, 7, 8, 9] have no target"),
+        ({**ALL_DIRECT, "1": 2.7}, "target 2.7 of device 1 is not an integer"),
+        ({**ALL_DIRECT, "2": True}, "target True of device 2 is not an integer"),
     ],
 )
 def test_validate_rejects_malformed_routing(tmp_path, capsys, adj, message):

@@ -19,18 +19,15 @@ from fedrelay.upper_level import (
     EquilibriumReport,
     PenaltyConfig,
     StrategyProfile,
-    best_response_dynamics,
     default_init,
     device_profit,
     penalized_profit,
     penalty_rho,
     price_best_response,
     reduced_profit,
-    relay_power_best_response,
     solve_stackelberg,
     unilateral_gains,
     _Run,
-    _round_robin,
     _value,
 )
 from fedrelay import radio, upper_level
@@ -42,12 +39,14 @@ from support import (
     caught_up_run,
     chain_ends,
     deadline_power,
+    fresh_best_response,
     grid_argmax_price,
     interference,
     make_device,
     make_scenario,
     profit_oracle,
     round_robin_oracle,
+    settled_run,
     unilateral_gains_oracle,
     value,
 )
@@ -309,7 +308,7 @@ def test_relay_br_single_device_goes_direct():
     scen = make_scenario([[3.0, 0.0], [0.0, 0.0]])
     profile = default_init(scen)
     demand = best_response_demand(profile.prices, scen)
-    target, power = relay_power_best_response(0, profile, demand, scen, M_FINAL)
+    target, power = fresh_best_response(0, profile, demand, scen, M_FINAL)
     assert target == 1
     assert 0 < power <= scen.devices[0].p_max
 
@@ -318,7 +317,7 @@ def test_relay_br_prefers_cheap_relay_and_matches_enumeration():
     scen = relayable_scenario()
     profile = default_init(scen)
     demand = best_response_demand(profile.prices, scen)
-    target, power = relay_power_best_response(0, profile, demand, scen, M_FINAL)
+    target, power = fresh_best_response(0, profile, demand, scen, M_FINAL)
     assert target == 1  # through the slow neighbor, not direct
 
     # exhaustive oracle over (target, 100-point power grid)
@@ -345,7 +344,7 @@ def test_relay_br_unmeetable_deadline_goes_direct():
     scen = make_scenario([[10.0, 0.0], [9.0, 0.0], [0.0, 0.0]], devices=devices)
     profile = default_init(scen)
     demand = best_response_demand(profile.prices, scen)
-    target, _ = relay_power_best_response(0, profile, demand, scen, M_FINAL)
+    target, _ = fresh_best_response(0, profile, demand, scen, M_FINAL)
     assert target == 2
 
 
@@ -360,7 +359,7 @@ def test_relay_br_reports_no_feasible_action(caplog):
     )
     demand = np.array([0.1, 0.1, 0.1])
     with caplog.at_level("WARNING"):
-        target, _ = relay_power_best_response(0, profile, demand, scen, M_FINAL)
+        target, _ = fresh_best_response(0, profile, demand, scen, M_FINAL)
     assert "no feasible action" in caplog.text
     assert target == 3  # least-penalized: keep its own link clean
 
@@ -491,7 +490,7 @@ def test_relay_br_matches_grid_candidate_oracle():
                 val, _ = _value(i, profile.prices, targets, powers, demand, scen, M)
                 if val > best_val:
                     best, best_val = (j, p), val
-            got = relay_power_best_response(i, profile, demand, scen, M)
+            got = fresh_best_response(i, profile, demand, scen, M)
             assert got == best
             outcomes["direct" if got[0] == n else "relay"] += 1
     assert min(outcomes.values()) >= 20, outcomes
@@ -502,7 +501,7 @@ def test_relay_br_requires_positive_powers():
     profile = StrategyProfile(np.array([50.0, 5.0]), np.array([2, 2]), np.array([1.0, 0.0]))
     demand = best_response_demand(profile.prices, scen)
     with pytest.raises(ValueError, match="positive power"):
-        relay_power_best_response(0, profile, demand, scen, M_FINAL)
+        fresh_best_response(0, profile, demand, scen, M_FINAL)
 
 
 # ------------------------------------------------------------- dynamics
@@ -510,7 +509,7 @@ def test_relay_br_requires_positive_powers():
 
 def test_dynamics_single_device_matches_exhaustive_oracle():
     scen = make_scenario([[3.0, 0.0], [0.0, 0.0]], c=12.0, b=10.0, c_p=0.01)
-    rep = best_response_dynamics(scen)
+    rep = solve_stackelberg(scen, order_check=False)
     assert rep.converged
     assert rep.targets[0] == 1
     assert rep.prices[0] == pytest.approx(price_best_response(0, scen), abs=1e-12)
@@ -530,10 +529,8 @@ def test_dynamics_single_device_matches_exhaustive_oracle():
 
 def test_dynamics_symmetric_devices_symmetric_equilibrium():
     scen = make_scenario([[-3.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
-    fwd = best_response_dynamics(scen)
-    rev, _, _, rev_stable, _ = _round_robin(
-        scen, PenaltyConfig(), 100, "reverse", 50, default_init(scen)
-    )
+    fwd = solve_stackelberg(scen, order_check=False)
+    rev, _, _, rev_stable = settled_run(scen, PenaltyConfig(), 100, "reverse")
     assert fwd.converged and rev_stable
     assert abs(fwd.prices[0] - fwd.prices[1]) <= 1e-6
     assert abs(fwd.powers[0] - fwd.powers[1]) <= 1e-9
@@ -649,7 +646,7 @@ def test_epsilon_nash_certificate_scan():
     # alternatives drawn from dense prices and the solver's power grid,
     # plus the deadline-matching powers the solver itself would pick
     scen = relayable_scenario()
-    rep = best_response_dynamics(scen)
+    rep = solve_stackelberg(scen, order_check=False)
     assert rep.converged
     profile = rep.profile()
     q_lo = price_floor(scen)
@@ -660,7 +657,7 @@ def test_epsilon_nash_certificate_scan():
             trial.prices[i] = q
             assert penalized_profit(i, trial, M_FINAL, scen) <= base + 1e-6 + 1e-9
         demand = best_response_demand(profile.prices, scen)
-        j_alt, p_alt = relay_power_best_response(i, profile, demand, scen, M_FINAL)
+        j_alt, p_alt = fresh_best_response(i, profile, demand, scen, M_FINAL)
         trial = profile.copy()
         trial.targets[i], trial.powers[i] = j_alt, p_alt
         assert penalized_profit(i, trial, M_FINAL, scen) <= base + 1e-6 + 1e-9
@@ -673,7 +670,7 @@ def test_epsilon_nash_certificate_scan():
 
 def test_unilateral_gains_zero_at_fixed_point():
     scen = relayable_scenario()
-    rep = best_response_dynamics(scen)
+    rep = solve_stackelberg(scen, order_check=False)
     gains = unilateral_gains(rep.profile(), scen, M_FINAL)
     assert np.all(gains <= 1e-12)
 
@@ -708,10 +705,10 @@ def test_solve_certificate_equals_fresh_oracle(monkeypatch):
     positive = 0
     for label, scen, max_iter in certificate_runs():
         seen.clear()
-        rep = best_response_dynamics(scen, max_iter=max_iter)
+        rep = solve_stackelberg(scen, max_iter=max_iter, order_check=False)
         [(run, gains)] = seen
         want = unilateral_gains_oracle(rep.profile(), scen, M_FINAL)
-        assert run.profile.targets is rep.targets, label
+        assert run.targets == rep.targets.tolist() and run.powers == rep.powers.tolist(), label
         assert np.array_equal(gains, want), label
         assert rep.max_unilateral_gain == float(np.max(np.maximum(want, 0.0), initial=0.0)), label
         positive += rep.max_unilateral_gain > 0
@@ -753,7 +750,7 @@ def test_certificate_reuses_run_contexts(monkeypatch):
     monkeypatch.setattr(_Run, "_gains", gains)
     monkeypatch.setattr(upper_level, "_value", value)
     monkeypatch.setattr(radio, "min_power_for_rate", min_power)
-    rep = best_response_dynamics(paper9_scenario(7))
+    rep = solve_stackelberg(paper9_scenario(7), order_check=False)
     assert rep.converged and rep.max_unilateral_gain == 0.0
     # the last round moved nothing, so every best response is the current
     # strategy, ranked from the links each device scored on its last turn
@@ -762,7 +759,7 @@ def test_certificate_reuses_run_contexts(monkeypatch):
 
 def test_nonconvergence_is_reported_not_raised():
     scen = relayable_scenario()
-    rep = best_response_dynamics(scen, max_iter=0)
+    rep = solve_stackelberg(scen, max_iter=0, order_check=False)
     assert rep.converged is False
     assert rep.iterations == 0
     assert len(rep.prices) == 2
@@ -842,7 +839,7 @@ def test_round_robin_equals_fresh_best_response_oracle():
     runs = exactness_runs()
     cycled = 0
     for label, scen, max_iter, order in runs:
-        got = _round_robin(scen, cfg, max_iter, order, 50, default_init(scen))
+        got = settled_run(scen, cfg, max_iter, order, 50)
         want = round_robin_oracle(scen, cfg, max_iter, order, 50)
         where = (label, max_iter, order)
         assert np.array_equal(got[0].targets, want[0].targets), where
@@ -973,7 +970,7 @@ def test_relay_br_drops_zero_rate_relay_links(far, h_relay):
     assert routing.processing_times(demand, scen)[1] > routing.processing_times(demand, scen)[0]
     assert run.links[0][1] is None
     assert [c[0] for c in candidates(run, 0)] == [scen.ap]
-    assert relay_power_best_response(0, profile, demand, scen, M_FINAL)[0] == scen.ap
+    assert fresh_best_response(0, profile, demand, scen, M_FINAL)[0] == scen.ap
     with pytest.raises(ValueError, match="non-positive rate"):
         value(run, 0, 1, scen.devices[0].p_max, M_FINAL)
 

@@ -1,7 +1,7 @@
 """Time `solve_stackelberg` end to end on the ROADMAP's solve instances.
 
-Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40 and 80
-with the default settings (order check and certificate included), and
+Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and
+320 with the default settings (order check and certificate included), and
 runs a 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
 `random_scenario(9, 0, RELAY_SPEC)`, solved as `fedrelay sweep` does,
 without the order check. Each instance runs three times. Prints one
@@ -61,7 +61,7 @@ def sweep(scen):
 def instances():
     """(name, scenario, run) triples; `run` returns (rounds, converged)."""
     yield "paper9 seed 7", paper9_scenario(7), solve
-    for n in (20, 40, 80):
+    for n in (20, 40, 80, 320):
         yield f"random n={n} seed 1", random_scenario(n, 1), solve
     yield "relay n=9 seed 0 I_d sweep", random_scenario(9, 0, RELAY_SPEC), sweep
 
