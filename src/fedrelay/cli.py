@@ -87,25 +87,24 @@ class RunConfig:
         if self.scenario_path is not None:
             return load_scenario(self.scenario_path)
         if self.preset is not None:
-            if self.preset not in PRESETS:
-                raise ScenarioError(f"unknown preset {self.preset!r}; available: {PRESETS}")
             return paper9_scenario(self.seed)
         return random_scenario(self.random_n, self.seed)
 
     def penalty(self) -> PenaltyConfig:
         return PenaltyConfig(m_schedule=self.m_schedule)
 
+    def solve(self, scen: Scenario, order_check: bool = True) -> EquilibriumReport:
+        """`solve_stackelberg` of `scen` with these settings."""
+        return solve_stackelberg(
+            scen, self.penalty(), eps_nash=self.eps_nash, max_iter=self.max_iter,
+            power_grid=self.power_grid, order_check=order_check,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "scenario_path": self.scenario_path,
-            "preset": self.preset,
-            "random_n": self.random_n,
-            "seed": self.seed,
-            "eps_nash": self.eps_nash,
-            "m_schedule": list(self.m_schedule),
-            "max_iter": self.max_iter,
-            "power_grid": self.power_grid,
-        }
+        """The settings a report depends on: every field but the output ones."""
+        data = dataclasses.asdict(self)
+        del data["out_dir"], data["fmt"]
+        return data
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -123,49 +122,36 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def _target_label(t: int, n: int) -> str:
-    return "N_D" if t == n else str(t + 1)
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def equilibrium_rows(report: EquilibriumReport) -> list[tuple]:
+    """One row per device, in the order of EQUILIBRIUM_COLUMNS."""
     n = len(report.prices)
     return [
-        (
-            i + 1,
-            report.prices[i],
-            report.demand[i],
-            report.rates[i],
-            report.powers[i],
-            _target_label(int(report.targets[i]), n),
-            report.profits[i],
-        )
+        (i + 1, report.prices[i], report.demand[i], report.rates[i], report.powers[i],
+         routing.node_label(int(report.targets[i]), n), report.profits[i])
         for i in range(n)
     ]
 
 
 def write_solve_artifacts(out_dir: Path, report: EquilibriumReport, scen: Scenario, cfg: RunConfig) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = len(report.prices)
-    lines = routing.routing_lines(report.targets, n)
+    lines = routing.routing_lines(report.targets, len(report.prices))
     _atomic_write(out_dir / "routing.txt", "\n".join(lines) + "\n")
-    per_device = {
-        "prices.csv": ("price", report.prices),
-        "demands.csv": ("demand", report.demand),
-        "rates.csv": ("rate", report.rates),
-        "profits.csv": ("profit", report.profits),
-    }
-    for name, (col, values) in per_device.items():
-        rows = [(i + 1, values[i]) for i in range(n)]
-        _atomic_write(out_dir / name, _csv_text(("device_id", col), rows))
-    _atomic_write(
-        out_dir / "equilibrium.csv", _csv_text(EQUILIBRIUM_COLUMNS, equilibrium_rows(report))
-    )
+    rows = equilibrium_rows(report)
+    for col in ("price", "demand", "rate", "profit"):
+        k = EQUILIBRIUM_COLUMNS.index(col)
+        column = [(row[0], row[k]) for row in rows]
+        _atomic_write(out_dir / f"{col}s.csv", _csv_text(("device_id", col), column))
+    _atomic_write(out_dir / "equilibrium.csv", _csv_text(EQUILIBRIUM_COLUMNS, rows))
     payload = {
         "scenario": scenario_to_dict(scen),
         "config": cfg.to_dict(),
         "report": report.to_dict(),
     }
-    _atomic_write(out_dir / "report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / "report.json", _json_text(payload))
 
 
 def reverify_unilateral_gain(path: str | os.PathLike) -> tuple[float, float]:
@@ -185,13 +171,11 @@ def reverify_unilateral_gain(path: str | os.PathLike) -> tuple[float, float]:
 
 
 def _print_table(report: EquilibriumReport) -> None:
-    n = len(report.prices)
     print(f"{'dev':>4} {'price':>12} {'demand':>12} {'rate':>12} {'power':>12} {'target':>7} {'profit':>12}")
-    for i in range(n):
+    for dev, price, demand, rate, power, target, profit in equilibrium_rows(report):
         print(
-            f"{i + 1:>4} {report.prices[i]:>12.6f} {report.demand[i]:>12.6f}"
-            f" {report.rates[i]:>12.6f} {report.powers[i]:>12.6f}"
-            f" {_target_label(int(report.targets[i]), n):>7} {report.profits[i]:>12.6f}"
+            f"{dev:>4} {price:>12.6f} {demand:>12.6f} {rate:>12.6f} {power:>12.6f}"
+            f" {target:>7} {profit:>12.6f}"
         )
     print(
         f"owner_utility={report.owner_utility:.6f} converged={report.converged}"
@@ -239,7 +223,7 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             I = profile.indicator(scen.n_nodes)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
-        feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig().eps_feas)
+        feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
         print(f"profile feasible: {feas}")
         for v in violations:
             print(f"  violation: {v}")
@@ -249,17 +233,10 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
 
 def cmd_solve(cfg: RunConfig) -> int:
     scen = cfg.scenario()
-    report = solve_stackelberg(
-        scen,
-        cfg.penalty(),
-        eps_nash=cfg.eps_nash,
-        max_iter=cfg.max_iter,
-        power_grid=cfg.power_grid,
-    )
-    out_dir = Path(cfg.out_dir)
-    write_solve_artifacts(out_dir, report, scen, cfg)
+    report = cfg.solve(scen)
+    write_solve_artifacts(Path(cfg.out_dir), report, scen, cfg)
     if cfg.fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(_json_text(report.to_dict()), end="")
     elif cfg.fmt == "csv":
         print(_csv_text(EQUILIBRIUM_COLUMNS, equilibrium_rows(report)), end="")
     else:
@@ -268,15 +245,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def sweep_rows(scen: Scenario, param: str, value: float, cfg: RunConfig) -> list[tuple]:
-    modified = dataclasses.replace(scen, **{param: value})
-    report = solve_stackelberg(
-        modified,
-        cfg.penalty(),
-        eps_nash=cfg.eps_nash,
-        max_iter=cfg.max_iter,
-        power_grid=cfg.power_grid,
-        order_check=False,
-    )
+    report = cfg.solve(dataclasses.replace(scen, **{param: value}), order_check=False)
     return [
         (param, value, report.converged) + row for row in equilibrium_rows(report)
     ]
@@ -294,25 +263,32 @@ def cmd_sweep(cfg: RunConfig, param: str, values: tuple[float, ...]) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "sweep.csv", _csv_text(header, rows))
-    all_converged = all(r[2] for r in rows) if rows else True
-    return 0 if all_converged else 3
+    return 0 if all(r[2] for r in rows) else 3
 
 
 def _add_common(parser: argparse.ArgumentParser, with_out: bool) -> None:
-    parser.add_argument("--scenario", help="path to a scenario config file")
-    parser.add_argument("--preset", choices=PRESETS, help="bundled scenario preset")
-    parser.add_argument("--random", type=int, metavar="N", help="random scenario with N devices")
-    parser.add_argument("--seed", type=int, help="seed for preset/random positions")
-    parser.add_argument("--eps-nash", type=float, default=1e-6)
-    parser.add_argument("--m-schedule", default=None, help="comma-separated penalty coefficients")
-    parser.add_argument("--max-iter", type=int, default=100)
+    """The RunConfig settings; each dest is its RunConfig field, and an
+    omitted flag leaves the field at its RunConfig default."""
     parser.add_argument(
-        "--power-grid", type=int, default=50, metavar="N",
-        help="direct-link transmit power floor is p_max / N (default 50)",
+        "--scenario", dest="scenario_path", metavar="SCENARIO", help="path to a scenario config file"
+    )
+    parser.add_argument("--preset", choices=PRESETS, help="bundled scenario preset")
+    parser.add_argument(
+        "--random", dest="random_n", type=int, metavar="N", help="random scenario with N devices"
+    )
+    parser.add_argument("--seed", type=int, help="seed for preset/random positions")
+    parser.add_argument("--eps-nash", type=float)
+    parser.add_argument("--m-schedule", help="comma-separated penalty coefficients")
+    parser.add_argument("--max-iter", type=int)
+    parser.add_argument(
+        "--power-grid", type=int, metavar="N",
+        help=f"direct-link transmit power floor is p_max / N (default {RunConfig.power_grid})",
     )
     if with_out:
-        parser.add_argument("--out", required=True, help="output directory")
-        parser.add_argument("--format", choices=("csv", "json", "table"), default="table")
+        parser.add_argument(
+            "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+        )
+        parser.add_argument("--format", dest="fmt", choices=("csv", "json", "table"))
 
 
 def _floats(text: str, flag: str) -> tuple[float, ...]:
@@ -323,22 +299,11 @@ def _floats(text: str, flag: str) -> tuple[float, ...]:
         raise ScenarioError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _run_config(args: argparse.Namespace, with_out: bool) -> RunConfig:
-    m_schedule = PenaltyConfig.m_schedule
-    if args.m_schedule:
-        m_schedule = _floats(args.m_schedule, "--m-schedule")
-    return RunConfig(
-        scenario_path=args.scenario,
-        preset=args.preset,
-        random_n=args.random,
-        seed=args.seed,
-        out_dir=args.out if with_out else None,
-        fmt=args.format if with_out else "table",
-        eps_nash=args.eps_nash,
-        m_schedule=m_schedule,
-        max_iter=args.max_iter,
-        power_grid=args.power_grid,
-    )
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    settings = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    # an empty --m-schedule, like an omitted one, keeps the default
+    settings["m_schedule"] = _floats(args.m_schedule, "--m-schedule") if args.m_schedule else None
+    return RunConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -370,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
 
     try:
-        cfg = _run_config(args, with_out=args.command in ("solve", "sweep"))
+        cfg = _run_config(args)
     except ScenarioError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -165,6 +165,11 @@ def feasible(
     return (not violations), violations
 
 
+def node_label(k: int, n_devices: int) -> str:
+    """Node k's label: its 1-based device id, or "N_D" for the access point."""
+    return "N_D" if k == n_devices else str(k + 1)
+
+
 def routing_lines(targets: np.ndarray, n_devices: int) -> list[str]:
     """Forwarding chains as text rows, one per device: "3 -> 7 -> N_D".
 
@@ -181,7 +186,7 @@ def routing_lines(targets: np.ndarray, n_devices: int) -> list[str]:
             chain.append(node)
             if node == ap:
                 break
-        label = " -> ".join("N_D" if k == ap else str(k + 1) for k in chain)
+        label = " -> ".join(node_label(k, n_devices) for k in chain)
         if chain[-1] != ap:
             label += " !"
         lines.append(label)
@@ -190,11 +195,7 @@ def routing_lines(targets: np.ndarray, n_devices: int) -> list[str]:
 
 def routing_adjacency(targets: np.ndarray, n_devices: int) -> dict[str, str]:
     """JSON-friendly next-hop map with 1-based ids and "N_D" for the access point."""
-    ap = n_devices
-    return {
-        str(i + 1): ("N_D" if int(targets[i]) == ap else str(int(targets[i]) + 1))
-        for i in range(n_devices)
-    }
+    return {str(i + 1): node_label(int(targets[i]), n_devices) for i in range(n_devices)}
 
 
 def adjacency_to_targets(adj: dict, n_devices: int) -> np.ndarray:

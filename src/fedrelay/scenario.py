@@ -13,8 +13,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,6 +34,7 @@ ALPHA_MIN, ALPHA_MAX = 2.0, 6.0
 SIGMA2_MIN, SIGMA2_MAX = 1e-6, 1e6
 I_D_MAX = 1e6
 T_A_MAX = 1e6
+S_MAX_MAX = 1e6  # with R_P_MIN, bounds every processing time s / r_p by 1e12
 R_P_MIN = 1e-6
 W_MIN = 1e-6
 P_MAX_MIN = 1e-6
@@ -94,8 +94,8 @@ class DeviceParams:
 
     def __post_init__(self):
         _check("device parameter c_p", self.c_p, 0.0, at_least=True)
-        for name in ("c_t", "s_max", "q_max"):
-            _check(f"device parameter {name}", getattr(self, name), 0.0)
+        for name, most in (("c_t", math.inf), ("s_max", S_MAX_MAX), ("q_max", math.inf)):
+            _check(f"device parameter {name}", getattr(self, name), 0.0, at_most=most)
         _check("device parameter T_a", self.T_a, 0.0, at_most=T_A_MAX)
         for name, least in (("r_p", R_P_MIN), ("w", W_MIN), ("p_max", P_MAX_MIN)):
             _check(f"device parameter {name}", getattr(self, name), least, at_least=True)
@@ -103,7 +103,11 @@ class DeviceParams:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Full problem instance: devices, geometry, and wireless constants."""
+    """Full problem instance: devices, geometry, and wireless constants.
+
+    `H`, the effective gain matrix, is built and checked at construction
+    and is read-only.
+    """
 
     devices: tuple[DeviceParams, ...]
     positions: np.ndarray  # (n+1, 2); row n is the access point
@@ -152,13 +156,23 @@ class Scenario:
                 f"node positions are too far apart for path-loss exponent alpha = "
                 f"{self.alpha:g}: a distance ** alpha overflows"
             ) from None
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        """Effective gain matrix, built on first use and read-only."""
-        H = build_channel_matrix(self)
+        with np.errstate(all="ignore"):
+            H = build_channel_matrix(self)
+            # received power at full power over the noise, without interference; no
+            # matmul, since a solve calls BLAS nowhere else and its first call costs memory
+            sinr = (self.param("p_max")[:, None] * H[:n]).sum(axis=0) / self.sigma2
+        if not np.all(np.isfinite(H)):
+            raise ScenarioError(
+                f"node positions are too close for path-loss exponent alpha = {self.alpha:g}: "
+                "a channel gain h_ij / d_ij ** alpha is not finite"
+            )
+        if not np.all(np.isfinite(sinr)):
+            raise ScenarioError(
+                f"received power overflows at node {int(np.argmin(np.isfinite(sinr)))}: "
+                "the sum over the devices k of H_kj * p_max_k, over sigma2, is not finite"
+            )
         H.setflags(write=False)
-        return H
+        object.__setattr__(self, "H", H)
 
     @property
     def n_devices(self) -> int:
@@ -341,6 +355,10 @@ def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scena
     return _seeded_scenario(n, seed, spec, draw)
 
 
+# the scalar wireless constants of the config file's "global" section, beside "h"
+_GLOBAL_KEYS = ("alpha", "sigma2", "I_d", "c_a")
+
+
 def scenario_to_dict(scen: Scenario) -> dict:
     """Plain-dict form used by the JSON config file."""
     off = ~np.eye(scen.n_nodes, dtype=bool)
@@ -349,30 +367,17 @@ def scenario_to_dict(scen: Scenario) -> dict:
     return {
         "devices": [asdict(d) for d in scen.devices],
         "positions": scen.positions.tolist(),
-        "global": {
-            "alpha": scen.alpha,
-            "sigma2": scen.sigma2,
-            "I_d": scen.I_d,
-            "c_a": scen.c_a,
-            "h": h,
-        },
+        "global": {**{key: getattr(scen, key) for key in _GLOBAL_KEYS}, "h": h},
     }
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         devices = tuple(
-            DeviceParams(
-                c_p=d["c_p"],
-                c_t=d["c_t"],
-                r_p=d["r_p"],
-                T_a=d["T_a"],
-                w=d["w"],
-                accuracy=AccuracyModel(**d["accuracy"]),
-                s_max=d["s_max"],
-                q_max=d["q_max"],
-                p_max=d["p_max"],
-            )
+            DeviceParams(**{
+                f.name: AccuracyModel(**d[f.name]) if f.name == "accuracy" else d[f.name]
+                for f in fields(DeviceParams)
+            })
             for d in data["devices"]
         )
         g = data["global"]
@@ -382,13 +387,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         except ValueError as exc:  # ragged or non-numeric
             raise ScenarioError(f"malformed scenario config: {exc}") from exc
         return Scenario(
-            devices=devices,
-            positions=positions,
-            h=h,
-            alpha=g["alpha"],
-            sigma2=g["sigma2"],
-            I_d=g["I_d"],
-            c_a=g["c_a"],
+            devices=devices, positions=positions, h=h, **{key: g[key] for key in _GLOBAL_KEYS}
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,11 +60,11 @@ class PenaltyConfig:
     """Exterior-penalty settings.
 
     m_schedule: strictly increasing, finite, positive penalty coefficients.
-    eps_feas: slack allowed when declaring a constraint satisfied.
+    eps_feas: slack allowed when declaring a constraint satisfied (a constant).
     """
 
     m_schedule: tuple[float, ...] = DEFAULT_M_SCHEDULE
-    eps_feas: float = 1e-9
+    eps_feas: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         ms = tuple(float(m) for m in self.m_schedule)
@@ -135,23 +136,11 @@ class EquilibriumReport:
         return StrategyProfile(self.prices.copy(), self.targets.copy(), self.powers.copy())
 
     def to_dict(self) -> dict:
-        n = len(self.prices)
-        return {
-            "prices": self.prices.tolist(),
-            "targets": self.targets.tolist(),
-            "powers": self.powers.tolist(),
-            "demand": self.demand.tolist(),
-            "rates": self.rates.tolist(),
-            "profits": self.profits.tolist(),
-            "owner_utility": self.owner_utility,
-            "routing": routing.routing_adjacency(self.targets, n),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "max_unilateral_gain": self.max_unilateral_gain,
-            "feasible": self.feasible,
-            "violations": self.violations,
-            "order_robust": self.order_robust,
-        }
+        """Every field, arrays as lists, plus the next-hop map `routing`."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in data.items()}
+        data["routing"] = routing.routing_adjacency(self.targets, len(self.prices))
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "EquilibriumReport":
@@ -439,7 +428,7 @@ class _Run:
             relay_ap = max(0.0, 1.0 - ap_links) ** 2
             self.reached[i] = -2.0 * stranded - relay_ap
             self.cut[i] = -2.0 * (stranded + 1 + len(ancestors)) - relay_ap
-            self.direct[i] = -2.0 * stranded - max(0.0, 1.0 - (ap_links + 1)) ** 2
+            self.direct[i] = -2.0 * stranded
 
     def _link_terms(self, i: int, j: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link

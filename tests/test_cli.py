@@ -14,6 +14,7 @@ from fedrelay.scenario import (
     P_MAX_MIN,
     RELAY_SPEC,
     R_P_MIN,
+    S_MAX_MAX,
     SIGMA2_MAX,
     SIGMA2_MIN,
     T_A_MAX,
@@ -126,6 +127,7 @@ RANGE_CASES = [
     ("device", "r_p", 1e-300, R_P_MIN),
     ("device", "T_a", 1e300, T_A_MAX),
     ("device", "w", 1e-300, W_MIN),
+    ("device", "s_max", 1e300, S_MAX_MAX),
 ]
 
 
@@ -294,6 +296,65 @@ def test_overflowing_accuracy_curve_exit_2(tmp_path, capsys, command, corrupt):
     assert "Traceback" not in err
 
 
+def _huge_processing_time(data):
+    # c * b = 10 and c = 1e-300 put the demand near 1e300, so T_s = s / r_p, near 1e306, squares
+    # past the largest float
+    data["devices"][1]["accuracy"] = {"a": 1.0, "b": 1e301, "c": 1e-300}
+    data["devices"][1].update(s_max=1e305, r_p=1e-6)
+
+
+def _huge_p_max(data):
+    for d in data["devices"]:
+        d["p_max"] = 1e308
+
+
+def _coinciding_nodes(data):
+    # d ** 6 underflows to 0, so the gain h / d ** 6 is infinite
+    data["global"]["alpha"] = ALPHA_MAX
+    data["positions"][0], data["positions"][1] = [0.0, 0.0], [1e-60, 0.0]
+
+
+def _close_nodes_huge_p_max(data):
+    data["positions"] = [[x * 0.01 for x in xy] for xy in data["positions"]]
+    _huge_p_max(data)
+
+
+def _huge_p_max_over_noise(data):
+    # every received power is finite, but not its ratio to the noise
+    data["global"]["sigma2"] = SIGMA2_MIN
+    for d in data["devices"]:
+        d["p_max"] = 1e303
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_huge_processing_time, "device parameter s_max must be finite and > 0 and <= 1e+06"),
+        (_huge_p_max, "received power overflows"),
+        (_coinciding_nodes, "a channel gain h_ij / d_ij ** alpha is not finite"),
+        (_close_nodes_huge_p_max, "received power overflows"),
+        (_huge_p_max_over_noise, "received power overflows"),
+    ],
+    ids=["processing_time", "p_max", "coinciding_nodes", "close_nodes_p_max", "p_max_over_noise"],
+)
+def test_scenario_beyond_floating_point_exit_2(tmp_path, capsys, command, corrupt, message):
+    data = scenario_to_dict(paper9_scenario(7))
+    corrupt(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--scenario", str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "run")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_solve_large_power_grid_writes_finite_artifacts(tmp_path):
     out = tmp_path / "run"
     argv = ["solve", "--preset", "paper9", "--seed", "7", "--power-grid", "100000000000000"]
@@ -441,10 +502,19 @@ def test_solve_format_json_and_csv(tmp_path, capsys):
           "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
+    assert payload == json.loads((out / "report.json").read_text())["report"]
     main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out),
           "--format", "csv"])
-    first = capsys.readouterr().out.splitlines()[0]
+    printed = capsys.readouterr().out
+    first = printed.splitlines()[0]
     assert first == "device_id,price,demand,rate,power,target,profit"
+    assert printed.encode() == (out / "equilibrium.csv").read_bytes()
+    # the table printout of a solve that relays
+    _, path = relayable_scenario_file(tmp_path)
+    assert main(["solve", "--scenario", str(path), "--out", str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    targets = [line.split()[5] for line in table[1:-1]]
+    assert targets == [row[5] for row in read_csv(out / "equilibrium.csv")[1:]] == ["2", "N_D"]
 
 
 def test_report_roundtrip_reproduces_gain(tmp_path):

@@ -1,6 +1,6 @@
 """Digest the artifacts of a fixed set of CLI runs, to compare two checkouts.
 
-Runs 40 `fedrelay` command lines in-process and hashes, per run, the exit
+Runs 42 `fedrelay` command lines in-process and hashes, per run, the exit
 code, stdout and every file written to the output directory. It prints
 one line per run and a total; two checkouts whose totals match produce
 byte-identical artifacts. The temporary directory is masked wherever it
@@ -48,6 +48,8 @@ def command_lines(tmp: Path) -> list[list[str]]:
     runs.append(["sweep", "--preset", "paper9", "--seed", "7", "--param", "alpha", "--values", "2,3"])
     # cycles through 100 rounds, revisiting the same links most often
     runs.append(["solve", "--random", "20", "--seed", "1"])
+    # the csv and json printouts; every run above prints the table
+    runs += [["solve", "--preset", "paper9", "--seed", "7", "--format", f] for f in ("csv", "json")]
     return [argv + ["--out", str(tmp / f"run-{k}")] for k, argv in enumerate(runs)]
 
 

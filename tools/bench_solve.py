@@ -4,13 +4,15 @@ Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and
 320 with the default settings (order check and certificate included), and
 runs a 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
 `random_scenario(9, 0, RELAY_SPEC)`, solved as `fedrelay sweep` does,
-without the order check. Each instance runs three times. Prints one
-JSON object: per instance the median CPU time (`time.process_time`)
-with the three samples, the rounds (`iterations`, summed over a sweep's
-points), `converged` (all of a sweep's points) and the process's peak
-resident set size after the instance (`ru_maxrss`, so it never falls
-from one instance to the next), and the machine it ran on. Run it
-against a checkout:
+without the order check. It also times `cli.write_solve_artifacts`
+alone, writing paper9 seed 7's artifacts from a solve made before the
+timer starts. Each instance runs three times. Prints one JSON object:
+per instance the median CPU time (`time.process_time`) with the three
+samples, the rounds (`iterations`, summed over a sweep's points),
+`converged` (all of a sweep's points) and the process's peak resident
+set size after the instance (`ru_maxrss`, so it never falls from one
+instance to the next), and the machine it ran on. Run it against a
+checkout:
 
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
@@ -28,12 +30,14 @@ import platform
 import resource
 import statistics
 import subprocess
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 import fedrelay
+from fedrelay.cli import RunConfig, write_solve_artifacts
 from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
 from fedrelay.upper_level import solve_stackelberg
 
@@ -58,9 +62,23 @@ def sweep(scen):
     return sum(r.iterations for r in reports), all(r.converged for r in reports)
 
 
-def instances():
+def writer(out_dir: Path):
+    """A run that writes `fedrelay solve --preset paper9 --seed 7`'s
+    artifacts to `out_dir`, from a solve made when it is created."""
+    report = solve_stackelberg(paper9_scenario(7))
+    cfg = RunConfig(preset="paper9", seed=7, out_dir=str(out_dir))
+
+    def write(scen):
+        write_solve_artifacts(out_dir, report, scen, cfg)
+        return report.iterations, report.converged
+
+    return write
+
+
+def instances(tmp: Path):
     """(name, scenario, run) triples; `run` returns (rounds, converged)."""
     yield "paper9 seed 7", paper9_scenario(7), solve
+    yield "paper9 seed 7 write_solve_artifacts", paper9_scenario(7), writer(tmp / "paper9-7")
     for n in (20, 40, 80, 320):
         yield f"random n={n} seed 1", random_scenario(n, 1), solve
     yield "relay n=9 seed 0 I_d sweep", random_scenario(9, 0, RELAY_SPEC), sweep
@@ -98,21 +116,22 @@ def git_commit(path: Path) -> str:
 def main() -> None:
     logging.disable(logging.WARNING)  # non-settling stages warn; the report says so
     results = []
-    for name, scen, run in instances():
-        samples = []
-        for _ in range(REPEATS):
-            start = time.process_time()
-            iterations, converged = run(scen)
-            samples.append(time.process_time() - start)
-        results.append({
-            "instance": name,
-            "n": scen.n_devices,
-            "cpu_s_median": statistics.median(samples),
-            "cpu_s": samples,
-            "iterations": iterations,
-            "converged": converged,
-            "peak_rss_mb": peak_rss_mb(),
-        })
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, scen, run in instances(Path(tmp)):
+            samples = []
+            for _ in range(REPEATS):
+                start = time.process_time()
+                iterations, converged = run(scen)
+                samples.append(time.process_time() - start)
+            results.append({
+                "instance": name,
+                "n": scen.n_devices,
+                "cpu_s_median": statistics.median(samples),
+                "cpu_s": samples,
+                "iterations": iterations,
+                "converged": converged,
+                "peak_rss_mb": peak_rss_mb(),
+            })
     package = Path(fedrelay.__file__).resolve().parent
     machine = {
         "cpu_model": cpu_model(),
