@@ -3,9 +3,7 @@ cooperative-relay game between mobile devices (leaders) and a model
 owner (follower)."""
 
 from .lower_level import (
-    accuracy,
     best_response_demand,
-    concavity_certificate,
     owner_utility,
     price_floor,
 )
@@ -13,7 +11,6 @@ from .radio import (
     PowerLimitError,
     min_power_for_rate,
     transmission_energy_cost,
-    transmission_rate,
     transmission_rates,
 )
 from .routing import (
@@ -41,11 +38,8 @@ from .upper_level import (
     EquilibriumReport,
     PenaltyConfig,
     StrategyProfile,
-    device_profit,
-    penalized_profit,
     penalty_rho,
     price_best_response,
-    reduced_profit,
     solve_stackelberg,
 )
 

@@ -44,7 +44,7 @@ from .upper_level import (
     unilateral_gains,
 )
 
-PRESETS = ("paper9",)
+PRESETS = {"paper9": paper9_scenario}
 SWEEPABLE = ("c_a", "I_d", "sigma2", "alpha")
 EQUILIBRIUM_COLUMNS = ("device_id", "price", "demand", "rate", "power", "target", "profit")
 
@@ -70,6 +70,8 @@ class RunConfig:
             raise ScenarioError("exactly one of --scenario, --preset, --random is required")
         if self.scenario_path is None and self.seed is None:
             raise ScenarioError("--seed is required with --preset and --random")
+        if self.preset is not None and self.preset not in PRESETS:
+            raise ScenarioError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
         if self.power_grid < 1:
             raise ScenarioError(f"--power-grid must be >= 1, got {self.power_grid}")
         if self.power_grid > sys.float_info.max:  # p_max / N would overflow
@@ -87,7 +89,7 @@ class RunConfig:
         if self.scenario_path is not None:
             return load_scenario(self.scenario_path)
         if self.preset is not None:
-            return paper9_scenario(self.seed)
+            return PRESETS[self.preset](self.seed)
         return random_scenario(self.random_n, self.seed)
 
     def penalty(self) -> PenaltyConfig:
@@ -160,14 +162,13 @@ def reverify_unilateral_gain(path: str | os.PathLike) -> tuple[float, float]:
     with open(path) as fh:
         payload = json.load(fh)
     scen = scenario_from_dict(payload["scenario"])
-    report = EquilibriumReport.from_dict(payload["report"])
+    r = payload["report"]
+    profile = StrategyProfile(r["prices"], r["targets"], r["powers"])
     m_schedule = tuple(payload["config"]["m_schedule"])
     power_grid = int(payload["config"]["power_grid"])
-    gains = unilateral_gains(
-        report.profile(), scen, m_schedule[-1], power_grid=power_grid
-    )
+    gains = unilateral_gains(profile, scen, m_schedule[-1], power_grid=power_grid)
     recomputed = float(np.max(np.maximum(gains, 0.0), initial=0.0))
-    return float(payload["report"]["max_unilateral_gain"]), recomputed
+    return float(r["max_unilateral_gain"]), recomputed
 
 
 def _print_table(report: EquilibriumReport) -> None:
@@ -218,6 +219,9 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
                 raise ValueError(f"{len(profile.prices)} devices, the scenario has {n}")
             if np.any((profile.targets < 0) | (profile.targets > n)):
                 raise ValueError(f"targets must lie in 0..{n}")
+            for k, (p, d) in enumerate(zip(profile.powers, scen.devices)):
+                if p > d.p_max:
+                    raise ValueError(f"device {k} power {p:g} exceeds p_max {d.p_max:g}")
             demand = lower_level.best_response_demand(profile.prices, scen)
             rates = radio.transmission_rates(profile.targets, profile.powers, scen)
             I = profile.indicator(scen.n_nodes)

@@ -15,24 +15,15 @@ import numpy as np
 from .scenario import Scenario, price_floor
 
 __all__ = [
-    "accuracy",
     "accuracy_vector",
     "owner_utility",
     "best_response_demand",
-    "concavity_certificate",
     "price_floor",
 ]
 
 
-def accuracy(i: int, s: float, scen: Scenario) -> float:
-    """Accuracy of device i's update trained on s data units."""
-    if s < 0:
-        raise ValueError(f"data size must be >= 0, got {s}")
-    m = scen.devices[i].accuracy
-    return m.a - m.b * np.exp(-m.c * s)
-
-
 def accuracy_vector(s: np.ndarray, scen: Scenario) -> np.ndarray:
+    """Accuracy of each device's update trained on s[i] data units."""
     a, b, c = scen.accuracy_coeffs()
     return a - b * np.exp(-c * np.asarray(s, dtype=float))
 
@@ -61,17 +52,3 @@ def best_response_demand(q: np.ndarray, scen: Scenario) -> np.ndarray:
     s = np.log(c * b / q) / c
     return np.clip(s, 0.0, s_max)
 
-
-def concavity_certificate(q: np.ndarray, scen: Scenario) -> np.ndarray:
-    """Diagonal of the utility Hessian at the demand response.
-
-    The utility is separable, so off-diagonal terms are identically zero
-    and each diagonal entry is -c_i^2 * b_i * exp(-c_i * s_i) < 0, which
-    certifies a unique maximizer.
-    """
-    _, b, c = scen.accuracy_coeffs()
-    s = best_response_demand(q, scen)
-    diag = -(c**2) * b * np.exp(-c * s)
-    if not np.all(diag < 0):
-        raise AssertionError("utility Hessian diagonal must be strictly negative")
-    return diag

@@ -55,13 +55,6 @@ def transmission_rates(targets: np.ndarray, powers: np.ndarray, scen: Scenario) 
     return rates
 
 
-def transmission_rate(i: int, targets: np.ndarray, powers: np.ndarray, scen: Scenario) -> float:
-    """Rate of a single device; the device must actually transmit."""
-    if not powers[i] > 0:
-        raise ValueError(f"device {i} has no positive transmit power")
-    return float(transmission_rates(targets, powers, scen)[i])
-
-
 def transmission_energy_cost(
     i: int, powers: np.ndarray, rates: np.ndarray, scen: Scenario
 ) -> float:

@@ -107,11 +107,8 @@ class StrategyProfile:
     def copy(self) -> "StrategyProfile":
         return StrategyProfile(self.prices.copy(), self.targets.copy(), self.powers.copy())
 
-    def power_matrix(self, n_nodes: int) -> np.ndarray:
-        return routing.power_matrix(self.targets, self.powers, n_nodes)
-
     def indicator(self, n_nodes: int) -> np.ndarray:
-        return routing.indicator_from_powers(self.power_matrix(n_nodes))
+        return routing.indicator_from_powers(routing.power_matrix(self.targets, self.powers, n_nodes))
 
 
 @dataclass
@@ -142,42 +139,11 @@ class EquilibriumReport:
         data["routing"] = routing.routing_adjacency(self.targets, len(self.prices))
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EquilibriumReport":
-        return cls(
-            prices=np.asarray(data["prices"], dtype=float),
-            targets=np.asarray(data["targets"], dtype=int),
-            powers=np.asarray(data["powers"], dtype=float),
-            demand=np.asarray(data["demand"], dtype=float),
-            rates=np.asarray(data["rates"], dtype=float),
-            profits=np.asarray(data["profits"], dtype=float),
-            owner_utility=float(data["owner_utility"]),
-            converged=bool(data["converged"]),
-            iterations=int(data["iterations"]),
-            max_unilateral_gain=float(data["max_unilateral_gain"]),
-            feasible=bool(data["feasible"]),
-            violations=list(data["violations"]),
-            order_robust=data.get("order_robust"),
-        )
 
-
-def device_profit(
-    i: int,
-    profile: StrategyProfile,
-    demand: np.ndarray,
-    scen: Scenario,
-    rates: np.ndarray | None = None,
-) -> float:
+def _profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
     """Profit of device i: data revenue, minus transmission energy and
     processing costs, plus relay-service revenue, minus the relay fee
     when not transmitting directly."""
-    if rates is None:
-        rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    I = profile.indicator(scen.n_nodes)
-    return _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
-
-
-def _profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
     n, ap = scen.n_devices, scen.ap
     d = scen.devices[i]
     revenue = prices[i] * demand[i]
@@ -186,12 +152,6 @@ def _profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
     relay_revenue = scen.c_a * float(I[:n, i].sum())
     relay_fee = scen.c_a * (1.0 - float(I[i, ap]))
     return float(revenue - energy - processing + relay_revenue - relay_fee)
-
-
-def reduced_profit(i: int, profile: StrategyProfile, scen: Scenario) -> float:
-    """Profit with the owner's demand response substituted in."""
-    demand = lower_level.best_response_demand(profile.prices, scen)
-    return device_profit(i, profile, demand, scen)
 
 
 def penalty_rho(
@@ -216,15 +176,6 @@ def penalty_rho(
     rho -= max(0, shortfall) ** 2
     rho -= max(0.0, routing.timing_violation(i, I, demand, rates, scen)) ** 2
     return rho
-
-
-def penalized_profit(i: int, profile: StrategyProfile, M: float, scen: Scenario) -> float:
-    """Reduced profit plus M times the constraint penalty."""
-    if M <= 0:
-        raise ValueError(f"penalty coefficient must be > 0, got {M}")
-    demand = lower_level.best_response_demand(profile.prices, scen)
-    value, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
-    return value
 
 
 def _value(i, prices, targets, powers, demand, scen, M) -> tuple[float, float]:

@@ -4,7 +4,10 @@ The oracles deliberately avoid the library's own code paths: rates are
 regrouped with explicit loops or full-matrix algebra, argmaxes come from
 dense grids, and reachability is checked by walking the next-hop
 function or by boolean matrix powers. The round-robin and certificate
-oracles rebuild every best response from scratch.
+oracles rebuild every best response from scratch. The profile scorers
+`device_profit`, `reduced_profit` and `penalized_profit` score a whole
+profile through the certificate's `_profit_terms` and `_value`, for the
+tests that hold the dynamics against exhaustive scans.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fedrelay.upper_level import (
     _P_TOL,
     _TIMING_SAFETY,
     _Run,
+    _profit_terms,
     _value,
     default_init,
     price_best_response,
@@ -202,6 +206,32 @@ def profit_oracle(i, prices, targets, powers, demand, rates, scen) -> float:
     relay_revenue = scen.c_a * sum(1 for k in range(n) if k != i and int(targets[k]) == i)
     relay_fee = 0.0 if int(targets[i]) == ap else scen.c_a
     return revenue - energy - processing + relay_revenue - relay_fee
+
+
+def accuracy(i: int, s: float, scen) -> float:
+    """Accuracy of device i's update trained on s data units."""
+    m = scen.devices[i].accuracy
+    return m.a - m.b * math.exp(-m.c * s)
+
+
+def device_profit(i, profile, demand, scen) -> float:
+    """Profit of device i at `profile` and `demand`, by `_profit_terms`."""
+    rates = radio.transmission_rates(profile.targets, profile.powers, scen)
+    I = profile.indicator(scen.n_nodes)
+    return _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
+
+
+def reduced_profit(i, profile, scen) -> float:
+    """`device_profit` with the owner's demand response substituted in."""
+    demand = lower_level.best_response_demand(profile.prices, scen)
+    return device_profit(i, profile, demand, scen)
+
+
+def penalized_profit(i, profile, M: float, scen) -> float:
+    """Reduced profit plus M times the constraint penalty, by `_value`."""
+    demand = lower_level.best_response_demand(profile.prices, scen)
+    val, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
+    return val
 
 
 def _concave_grid_argmax(f, lo: float, hi: float, fine_step: float) -> float:

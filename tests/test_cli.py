@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedrelay.cli import main, reverify_unilateral_gain
+from fedrelay.cli import RunConfig, main, reverify_unilateral_gain
 from fedrelay.radio import transmission_energy_cost
 from fedrelay.scenario import (
     ALPHA_MAX,
@@ -19,6 +19,7 @@ from fedrelay.scenario import (
     SIGMA2_MIN,
     T_A_MAX,
     W_MIN,
+    ScenarioError,
     paper9_scenario,
     random_scenario,
     save_scenario,
@@ -393,6 +394,11 @@ def test_random_beyond_array_limit_exits_2(tmp_path, capsys, argv):
     assert "too many devices" in capsys.readouterr().err
 
 
+def test_unknown_preset_rejected_in_library():
+    with pytest.raises(ScenarioError, match="unknown preset 'relay9'"):
+        RunConfig(preset="relay9", seed=1)
+
+
 def test_validate_requires_exactly_one_source(tmp_path, capsys):
     assert main(["validate", "--preset", "paper9", "--random", "4", "--seed", "1"]) == 2
     assert main(["validate", "--preset", "paper9"]) == 2  # missing seed
@@ -494,6 +500,10 @@ def test_solve_nonconverged_exit_code(tmp_path):
     assert (out / "report.json").exists()  # artifacts written anyway
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["converged"] is False
+    # the reloaded certificate scores the paying deviations again
+    stored, recomputed = reverify_unilateral_gain(out / "report.json")
+    assert stored > 0
+    assert recomputed == stored
 
 
 def test_solve_format_json_and_csv(tmp_path, capsys):
@@ -646,6 +656,8 @@ def _write_json(tmp_path, name, data):
         ({"prices": [float("nan"), 5.0], "targets": [1, 2], "powers": [1.0, 1.0]}, "prices must be finite"),
         ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [float("inf"), 1.0]}, "powers must be finite"),
         ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [float("nan"), 1.0]}, "powers must be finite"),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [11.0, 1.0]}, "device 0 power 11 exceeds p_max 10"),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [1e308, 1.0]}, "device 0 power 1e+308 exceeds"),
     ],
 )
 def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):

@@ -4,38 +4,35 @@ import numpy as np
 import pytest
 
 from fedrelay.lower_level import (
-    accuracy,
     accuracy_vector,
     best_response_demand,
-    concavity_certificate,
     owner_utility,
     price_floor,
 )
-from support import exp_series, grid_argmax_demand, make_scenario
+from support import accuracy, exp_series, grid_argmax_demand, make_scenario
 
 
 def test_accuracy_at_zero_and_limit(paper9_scen):
+    n = paper9_scen.n_devices
+    at_zero = accuracy_vector(np.zeros(n), paper9_scen)
+    at_limit = accuracy_vector(np.full(n, 1e6), paper9_scen)
     for i, d in enumerate(paper9_scen.devices):
-        assert accuracy(i, 0.0, paper9_scen) == pytest.approx(d.accuracy.a - d.accuracy.b)
-        assert accuracy(i, 1e6, paper9_scen) == pytest.approx(d.accuracy.a)
+        assert at_zero[i] == pytest.approx(d.accuracy.a - d.accuracy.b)
+        assert at_limit[i] == pytest.approx(d.accuracy.a)
 
 
 def test_accuracy_known_value(paper9_scen):
     # device 1 at s = 0.1: 9.78 * (1 - exp(-15.28 * 0.1))
-    got = accuracy(0, 0.1, paper9_scen)
+    got = accuracy_vector(np.full(paper9_scen.n_devices, 0.1), paper9_scen)[0]
     assert got == pytest.approx(7.658041497734059, rel=1e-12)
     series = 9.78 - 9.78 * exp_series(-1.528)
     assert got == pytest.approx(series, rel=1e-12)
 
 
-def test_accuracy_rejects_negative_size(paper9_scen):
-    with pytest.raises(ValueError):
-        accuracy(0, -0.1, paper9_scen)
-
-
 def test_accuracy_increasing_concave(paper9_scen):
     s = np.linspace(0.0, 1.0, 200)
-    vals = np.array([accuracy(0, x, paper9_scen) for x in s])
+    n = paper9_scen.n_devices
+    vals = np.array([accuracy_vector(np.full(n, x), paper9_scen)[0] for x in s])
     assert np.all(np.diff(vals) > 0)
     assert np.all(np.diff(vals, 2) < 0)
 
@@ -134,32 +131,6 @@ def test_demand_monotone_in_price(paper9_scen, rng):
         assert s2[4] <= s[4]
         others = np.arange(n) != 4
         assert np.array_equal(s2[others], s[others])
-
-
-def test_concavity_certificate_negative(paper9_scen, rng):
-    _, b, c = paper9_scen.accuracy_coeffs()
-    for _ in range(10):
-        q = rng.uniform(1.0, 80.0, size=paper9_scen.n_devices)
-        diag = concavity_certificate(q, paper9_scen)
-        assert np.all(diag < 0)
-    # demand shut off: entries are exactly -c^2 b
-    diag0 = concavity_certificate(c * b, paper9_scen)
-    assert np.allclose(diag0, -(c**2) * b, rtol=1e-14)
-
-
-def test_concavity_certificate_matches_finite_difference(paper9_scen, rng):
-    n = paper9_scen.n_devices
-    q = rng.uniform(5.0, 50.0, size=n)
-    diag = concavity_certificate(q, paper9_scen)
-    s = best_response_demand(q, paper9_scen)
-    h = 1e-5
-    for i in range(n):
-        fd = (
-            accuracy(i, s[i] + h, paper9_scen)
-            - 2.0 * accuracy(i, s[i], paper9_scen)
-            + accuracy(i, s[i] - h, paper9_scen)
-        ) / h**2
-        assert fd == pytest.approx(diag[i], rel=1e-4)
 
 
 def test_grid_oracle_matches_brute_force_dense_grid(paper9_scen):

@@ -8,7 +8,6 @@ from fedrelay.radio import (
     PowerLimitError,
     min_power_for_rate,
     transmission_energy_cost,
-    transmission_rate,
     transmission_rates,
 )
 from fedrelay.routing import power_matrix
@@ -24,14 +23,12 @@ def unit_gain_scenario(**kwargs):
 def test_sole_transmitter_unit_sinr():
     scen = unit_gain_scenario()
     H = build_channel_matrix(scen)
-    r = transmission_rate(0, np.array([1]), np.array([scen.sigma2 / H[0, 1]]), scen)
-    assert r == pytest.approx(1.0, rel=1e-12)
+    rates = transmission_rates(np.array([1]), np.array([scen.sigma2 / H[0, 1]]), scen)
+    assert rates[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_silent_device_flagged():
     scen = unit_gain_scenario()
-    with pytest.raises(ValueError):
-        transmission_rate(0, np.array([1]), np.array([0.0]), scen)
     rates = transmission_rates(np.array([1]), np.array([0.0]), scen)
     assert np.isnan(rates[0])
 

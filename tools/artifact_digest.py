@@ -1,10 +1,11 @@
 """Digest the artifacts of a fixed set of CLI runs, to compare two checkouts.
 
-Runs 42 `fedrelay` command lines in-process and hashes, per run, the exit
-code, stdout and every file written to the output directory. It prints
-one line per run and a total; two checkouts whose totals match produce
-byte-identical artifacts. The temporary directory is masked wherever it
-appears, so the output depends only on the code under test:
+Runs 45 `fedrelay` command lines in-process and hashes, per run, the exit
+code, stdout and, for a run with `--out`, every file written to the
+output directory. It prints one line per run and a total; two checkouts
+whose totals match produce byte-identical artifacts. The temporary
+directory is masked wherever it appears, so the output depends only on
+the code under test:
 
     PYTHONPATH=<checkout>/src python3 tools/artifact_digest.py
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +33,8 @@ MASK = "<tmp>"
 
 
 def command_lines(tmp: Path) -> list[list[str]]:
-    """The runs, each writing to its own directory under `tmp`."""
+    """The runs: solves and sweeps, each writing to its own directory under
+    `tmp`, then validations, which write nothing."""
     runs: list[list[str]] = []
     runs += [["solve", "--preset", "paper9", "--seed", str(s)] for s in range(12)]
     runs += [
@@ -50,20 +53,31 @@ def command_lines(tmp: Path) -> list[list[str]]:
     runs.append(["solve", "--random", "20", "--seed", "1"])
     # the csv and json printouts; every run above prints the table
     runs += [["solve", "--preset", "paper9", "--seed", "7", "--format", f] for f in ("csv", "json")]
-    return [argv + ["--out", str(tmp / f"run-{k}")] for k, argv in enumerate(runs)]
+    runs = [argv + ["--out", str(tmp / f"run-{k}")] for k, argv in enumerate(runs)]
+    cyclic = tmp / "cyclic-routing.json"
+    cyclic.write_text(json.dumps({"1": "2", "2": "3", "3": "1"}))
+    direct = tmp / "direct-profile.json"
+    direct.write_text(json.dumps({"prices": [10.0] * 9, "targets": [9] * 9, "powers": [1.0] * 9}))
+    runs += [
+        ["validate", "--preset", "paper9", "--seed", "7"],
+        ["validate", "--random", "3", "--seed", "5", "--routing", str(cyclic)],
+        ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(direct)],
+    ]
+    return runs
 
 
 def run_digest(argv: list[str], tmp: Path) -> tuple[str, int]:
-    """sha256 of one run's exit code, stdout and artifacts, and the exit code."""
+    """sha256 of one run's exit code, stdout and any artifacts, and the exit code."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         rc = main(argv)
     h = hashlib.sha256(f"rc={rc}\n".encode())
     h.update(stdout.getvalue().replace(str(tmp), MASK).encode())
-    out_dir = Path(argv[argv.index("--out") + 1])
-    for path in sorted(out_dir.iterdir()):
-        h.update(f"\n{path.name}\n".encode())
-        h.update(path.read_bytes().replace(str(tmp).encode(), MASK.encode()))
+    if "--out" in argv:
+        out_dir = Path(argv[argv.index("--out") + 1])
+        for path in sorted(out_dir.iterdir()):
+            h.update(f"\n{path.name}\n".encode())
+            h.update(path.read_bytes().replace(str(tmp).encode(), MASK.encode()))
     return h.hexdigest(), rc
 
 
