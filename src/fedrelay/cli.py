@@ -212,16 +212,9 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
     if profile_path is not None:
         with open(profile_path) as fh:
             raw = json.load(fh)
-        n = scen.n_devices
         try:
             profile = StrategyProfile(raw["prices"], raw["targets"], raw["powers"])
-            if len(profile.prices) != n:
-                raise ValueError(f"{len(profile.prices)} devices, the scenario has {n}")
-            if np.any((profile.targets < 0) | (profile.targets > n)):
-                raise ValueError(f"targets must lie in 0..{n}")
-            for k, (p, d) in enumerate(zip(profile.powers, scen.devices)):
-                if p > d.p_max:
-                    raise ValueError(f"device {k} power {p:g} exceeds p_max {d.p_max:g}")
+            profile.check_fits(scen)
             demand = lower_level.best_response_demand(profile.prices, scen)
             rates = radio.transmission_rates(profile.targets, profile.powers, scen)
             I = profile.indicator(scen.n_nodes)

@@ -145,19 +145,23 @@ class Scenario:
         # bounds the owner's utility, a sum of terms within [a_i - b_i, a_i]
         if not math.isfinite(sum(d.accuracy.a + d.accuracy.b for d in self.devices)):
             raise ScenarioError("accuracy coefficients overflow: the sum of a + b is not finite")
+        q_lo = price_floor(self)  # every device's price domain [q_lo, q_max] must not be empty
+        if any(dev.q_max < q_lo for dev in self.devices):
+            raise ScenarioError(f"device parameter q_max must be >= the price floor {q_lo:g}")
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")
         try:
             with np.errstate(over="raise"):
-                d[off] ** self.alpha  # the path loss of build_channel_matrix
+                loss = d[off] ** self.alpha
         except FloatingPointError:
             raise ScenarioError(
                 f"node positions are too far apart for path-loss exponent alpha = "
                 f"{self.alpha:g}: a distance ** alpha overflows"
             ) from None
+        H = d  # H_ij = h_ij / d_ij ** alpha off the diagonal; d's diagonal is 0
         with np.errstate(all="ignore"):
-            H = build_channel_matrix(self)
+            H[off] = h[off] / loss
             # received power at full power over the noise, without interference; no
             # matmul, since a solve calls BLAS nowhere else and its first call costs memory
             sinr = (self.param("p_max")[:, None] * H[:n]).sum(axis=0) / self.sigma2
@@ -223,12 +227,9 @@ def price_floor(scen: Scenario) -> float:
 
 
 def build_channel_matrix(scen: Scenario) -> np.ndarray:
-    """Effective gain matrix H_ij = h_ij / d_ij**alpha with zero diagonal."""
-    d = _distance_matrix(scen.positions)
-    off = ~np.eye(scen.n_nodes, dtype=bool)
-    H = np.zeros_like(d)
-    H[off] = scen.h[off] / d[off] ** scen.alpha
-    return H
+    """Effective gain matrix H_ij = h_ij / d_ij**alpha with zero diagonal,
+    as a writable copy of `scen.H`."""
+    return scen.H.copy()
 
 
 @dataclass(frozen=True)

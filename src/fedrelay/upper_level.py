@@ -104,8 +104,20 @@ class StrategyProfile:
         if np.any(self.targets == np.arange(n)):
             raise ValueError("a device cannot relay through itself")
 
-    def copy(self) -> "StrategyProfile":
-        return StrategyProfile(self.prices.copy(), self.targets.copy(), self.powers.copy())
+    def check_fits(self, scen: Scenario) -> None:
+        """Raise ValueError unless the profile has one strategy per device of
+        `scen`, each target a node, price in [price floor, q_max], power <= p_max."""
+        n = scen.n_devices
+        if len(self.prices) != n:
+            raise ValueError(f"{len(self.prices)} devices, the scenario has {n}")
+        if np.any((self.targets < 0) | (self.targets > n)):
+            raise ValueError(f"targets must lie in 0..{n}")
+        q_lo = price_floor(scen)
+        for k, (q, p, d) in enumerate(zip(self.prices, self.powers, scen.devices)):
+            if not q_lo <= q <= d.q_max:
+                raise ValueError(f"device {k} price {q:g} lies outside [{q_lo:g}, {d.q_max:g}]")
+            if p > d.p_max:
+                raise ValueError(f"device {k} power {p:g} exceeds p_max {d.p_max:g}")
 
     def indicator(self, n_nodes: int) -> np.ndarray:
         return routing.indicator_from_powers(routing.power_matrix(self.targets, self.powers, n_nodes))
@@ -128,9 +140,6 @@ class EquilibriumReport:
     feasible: bool
     violations: list
     order_robust: bool | None = None
-
-    def profile(self) -> StrategyProfile:
-        return StrategyProfile(self.prices.copy(), self.targets.copy(), self.powers.copy())
 
     def to_dict(self) -> dict:
         """Every field, arrays as lists, plus the next-hop map `routing`."""
@@ -264,13 +273,13 @@ class _Run:
     of the indicator is single-link. The chain-termination defect is
     then twice the number of devices whose chain never reaches the
     access point, and device i's link decides only whether i and its
-    ancestors (the devices whose chains pass through i) join them. After
-    each labelling, catching up takes from the labels device i's
+    ancestors (the devices whose chains pass through i) join them. At
+    each `best`, `structure(i)` derives from the labels device i's
     ancestors and the rho, before its lateness term, of a link to a
-    device whose chain then reaches the access point (`reached`), to one
-    whose chain does not (`cut`), and of the direct link (`direct`).
-    Neither profit nor rho depends on the penalty coefficient M, so
-    `best` only re-ranks the cached links by profit + M * rho.
+    device whose chain then reaches the access point, to one whose chain
+    does not, and of the direct link; nothing of it is cached. Neither
+    profit nor rho depends on the penalty coefficient M, so `best` only
+    re-ranks the cached links by profit + M * rho.
     """
 
     def __init__(
@@ -293,16 +302,12 @@ class _Run:
         self.processing = [float(d.c_p * demand[i]) for i, d in enumerate(self.devices)]
         self.floor = [d.p_max / power_grid for d in self.devices]
         self.cache = [{} for _ in range(n)] if cache is None else cache
-        self.relabels = 0  # labellings so far
         self._label()
         self.interference = [self.co_target_power(j) for j in range(n + 1)]
         # per device; links[i] is None until device i's first `best`
         self.links: list[list[tuple[float, float, float] | None] | None] = [None] * n
         self.inflow = [-1] * n
         self.touched: list[set[int]] = [set() for _ in range(n)]
-        self.labelled = [-1] * n  # the labelling each device's rho terms come from
-        self.ancestors: list[set[int]] = [set() for _ in range(n)]
-        self.reached, self.cut, self.direct = [0.0] * n, [0.0] * n, [0.0] * n
 
     def _label(self) -> None:
         """Children of every node, and whether each device's chain reaches
@@ -324,7 +329,6 @@ class _Run:
                 reaches[m] = end
         self.reaches_ap = reaches
         self.stranded = reaches.count(False)
-        self.relabels += 1
 
     def co_target_power(self, j: int, without: int = -1) -> float:
         """Received power at node j from the devices aiming at it, device
@@ -337,8 +341,7 @@ class _Run:
         return total
 
     def _catch_up(self, i: int) -> None:
-        """Bring device i's links and structural terms up to date with the
-        others' moves since its last turn."""
+        """Bring device i's links up to date with the others' moves since its last turn."""
         links = self.links[i]
         if links is None:
             if not all(self.powers[k] > 0 for k in range(self.ap) if k != i):
@@ -365,21 +368,23 @@ class _Run:
                 terms = cache[key] = self._link_terms(i, j, interference)
             links[j] = terms
         self.touched[i].clear()
-        if self.labelled[i] != self.relabels:
-            self.labelled[i] = self.relabels
-            ancestors = self.ancestors[i] = set()
-            stack = list(self.children[i])
-            while stack:
-                k = stack.pop()
-                if k != i and k not in ancestors:
-                    ancestors.add(k)
-                    stack.extend(self.children[k])
-            stranded = self.stranded - (0 if self.reaches_ap[i] else 1 + len(ancestors))
-            ap_links = len(self.children[self.ap]) - (own == self.ap)
-            relay_ap = max(0.0, 1.0 - ap_links) ** 2
-            self.reached[i] = -2.0 * stranded - relay_ap
-            self.cut[i] = -2.0 * (stranded + 1 + len(ancestors)) - relay_ap
-            self.direct[i] = -2.0 * stranded
+
+    def structure(self, i: int) -> tuple[set[int], float, float, float]:
+        """Device i's ancestors, and the rho before the lateness term of a
+        link to a device whose chain then reaches the access point, to one
+        whose chain does not, and of the direct link, from the labels."""
+        ancestors: set[int] = set()
+        stack = list(self.children[i])
+        while stack:
+            k = stack.pop()
+            if k != i and k not in ancestors:
+                ancestors.add(k)
+                stack.extend(self.children[k])
+        stranded = self.stranded - (0 if self.reaches_ap[i] else 1 + len(ancestors))
+        ap_links = len(self.children[self.ap]) - (self.targets[i] == self.ap)
+        relay_ap = max(0.0, 1.0 - ap_links) ** 2
+        reached = -2.0 * stranded - relay_ap  # cut: i and its ancestors strand as well
+        return ancestors, reached, reached - 2.0 * (1 + len(ancestors)), -2.0 * stranded
 
     def _link_terms(self, i: int, j: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link
@@ -451,8 +456,8 @@ class _Run:
         ranks last. Every other device must transmit with positive power.
         """
         self._catch_up(i)
-        reaches, ancestors, ap = self.reaches_ap, self.ancestors[i], self.ap
-        reached, cut, direct = self.reached[i], self.cut[i], self.direct[i]
+        reaches, ap = self.reaches_ap, self.ap
+        ancestors, reached, cut, direct = self.structure(i)
         best_j, best_p = -1, 0.0
         best_val = -math.inf
         any_feasible = False
@@ -580,8 +585,9 @@ def unilateral_gains(
     the current value, so it is not scored; a device whose deviations
     both equal its strategy gains 0. A solve certifies the same way from
     its forward run, whose best responses are caught up with the run's
-    last moves and equal these bit for bit.
+    last moves and equal these bit for bit. Raises `check_fits`' ValueError.
     """
+    profile.check_fits(scen)
     closed_form = [price_best_response(i, scen) for i in range(scen.n_devices)]
     demand = lower_level.best_response_demand(profile.prices, scen)
     return _Run(profile, demand, scen, power_grid)._gains(M, closed_form)

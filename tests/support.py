@@ -21,6 +21,7 @@ from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
 from fedrelay.upper_level import (
     _P_TOL,
     _TIMING_SAFETY,
+    StrategyProfile,
     _Run,
     _profit_terms,
     _value,
@@ -214,6 +215,12 @@ def accuracy(i: int, s: float, scen) -> float:
     return m.a - m.b * math.exp(-m.c * s)
 
 
+def copy_profile(x) -> StrategyProfile:
+    """A StrategyProfile with copies of the prices, targets and powers of
+    `x`, a StrategyProfile or an EquilibriumReport."""
+    return StrategyProfile(x.prices.copy(), x.targets.copy(), x.powers.copy())
+
+
 def device_profit(i, profile, demand, scen) -> float:
     """Profit of device i at `profile` and `demand`, by `_profit_terms`."""
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
@@ -362,10 +369,10 @@ def interference(run, i: int) -> list[float]:
 
 def rho_base(run, i: int, j: int) -> float:
     """Rho of device i's link to node j before its lateness term."""
+    ancestors, reached, cut, direct = run.structure(i)
     if j == run.ap:
-        return run.direct[i]
-    reached = run.reaches_ap[j] and j not in run.ancestors[i]
-    return run.reached[i] if reached else run.cut[i]
+        return direct
+    return reached if run.reaches_ap[j] and j not in ancestors else cut
 
 
 def candidates(run, i: int) -> list[tuple[int, float, float, float]]:

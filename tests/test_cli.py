@@ -534,6 +534,54 @@ def test_report_roundtrip_reproduces_gain(tmp_path):
     assert abs(stored - recomputed) <= 1e-12
 
 
+def _target_99(report):
+    report["targets"][0] = 99
+
+
+def _five_of_nine(report):
+    for key in ("prices", "targets", "powers"):
+        report[key] = report[key][:5]
+
+
+def _price_1e9(report):
+    report["prices"][3] = 1e9
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_target_99, "targets must lie in 0..9"),
+        (_five_of_nine, "5 devices, the scenario has 9"),
+        (_price_1e9, r"device 3 price 1e\+09 lies outside \[8.39055e-05, "),
+    ],
+    ids=["target_99", "five_of_nine", "price_1e9"],
+)
+def test_reverify_rejects_report_that_does_not_fit(tmp_path, edit, message):
+    out = tmp_path / "run"
+    assert main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out)]) == 0
+    path = out / "report.json"
+    payload = json.loads(path.read_text())
+    edit(payload["report"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        reverify_unilateral_gain(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_empty_price_domain_exit_2(tmp_path, capsys, command):
+    # a q_max below the price floor leaves device 0 no admissible price
+    data = scenario_to_dict(paper9_scenario(7))
+    data["devices"][0]["q_max"] = 1e-10
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--scenario", str(path)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "q_max must be >= the price floor 8.39055e-05" in err and "Traceback" not in err
+
+
 def test_sweep_relay_fee_zero_drops_relay_terms(tmp_path):
     _, path = relayable_scenario_file(tmp_path)
     out = tmp_path / "sweep"
@@ -658,6 +706,8 @@ def _write_json(tmp_path, name, data):
         ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [float("nan"), 1.0]}, "powers must be finite"),
         ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [11.0, 1.0]}, "device 0 power 11 exceeds p_max 10"),
         ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [1e308, 1.0]}, "device 0 power 1e+308 exceeds"),
+        ({"prices": [1e9, 5.0], "targets": [2, 2], "powers": [1.0, 1.0]}, "device 0 price 1e+09 lies outside [1e-05, 120]"),
+        ({"prices": [50.0, 1e-300], "targets": [2, 2], "powers": [1.0, 1.0]}, "device 1 price 1e-300 lies outside [1e-05, 10]"),
     ],
 )
 def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):

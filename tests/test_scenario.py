@@ -130,6 +130,9 @@ def test_scenario_channel_matrix_is_cached_and_read_only():
     assert np.array_equal(steeper.H, build_channel_matrix(steeper))
     assert not np.array_equal(steeper.H, H)
     assert np.array_equal(scen.H, build_channel_matrix(scen))
+    copy = build_channel_matrix(scen)
+    copy[0, 1] = -1.0  # a writable copy
+    assert scen.H[0, 1] > 0
 
 
 def test_channel_symmetry_iff_h_symmetric():

@@ -34,6 +34,7 @@ from support import (
     candidates,
     caught_up_run,
     chain_ends,
+    copy_profile,
     deadline_power,
     device_profit,
     fresh_best_response,
@@ -325,13 +326,13 @@ def test_relay_br_prefers_cheap_relay_and_matches_enumeration():
     for j in (1, 2):
         for k in range(1, 101):
             p = scen.devices[0].p_max * k / 100.0
-            trial = profile.copy()
+            trial = copy_profile(profile)
             trial.targets[0], trial.powers[0] = j, p
             val = penalized_profit(0, trial, M_FINAL, scen)
             if val > best_val:
                 best_val, best_target = val, j
     assert target == best_target
-    chosen = profile.copy()
+    chosen = copy_profile(profile)
     chosen.targets[0], chosen.powers[0] = target, power
     assert penalized_profit(0, chosen, M_FINAL, scen) >= best_val - 1e-12
 
@@ -518,7 +519,7 @@ def test_dynamics_single_device_matches_exhaustive_oracle():
     # exhaustive over dense prices x the solver's own power grid; powers
     # below the grid floor are out of scope (the direct-link energy cost
     # falls toward its zero-power floor, so the grid pins the resolution)
-    base = penalized_profit(0, rep.profile(), M_FINAL, scen)
+    base = penalized_profit(0, copy_profile(rep), M_FINAL, scen)
     q_lo = price_floor(scen)
     solver_grid = scen.devices[0].p_max * np.arange(1, 51) / 50
     for q in np.linspace(q_lo, scen.devices[0].q_max, 200):
@@ -633,9 +634,9 @@ def test_equilibrium_regression(name):
 def test_dynamics_backward_consistency_and_rationality(paper9_scen, paper9_report):
     rep = paper9_report
     assert np.array_equal(rep.demand, best_response_demand(rep.prices, paper9_scen))
-    profile = rep.profile()
+    profile = copy_profile(rep)
     for i in range(paper9_scen.n_devices):
-        zero_margin = profile.copy()
+        zero_margin = copy_profile(profile)
         zero_margin.prices[i] = paper9_scen.devices[i].c_p
         assert reduced_profit(i, profile, paper9_scen) >= reduced_profit(
             i, zero_margin, paper9_scen
@@ -648,22 +649,22 @@ def test_epsilon_nash_certificate_scan():
     scen = relayable_scenario()
     rep = solve_stackelberg(scen, order_check=False)
     assert rep.converged
-    profile = rep.profile()
+    profile = copy_profile(rep)
     q_lo = price_floor(scen)
     for i in range(scen.n_devices):
         base = penalized_profit(i, profile, M_FINAL, scen)
         for q in np.linspace(q_lo, scen.devices[i].q_max, 60):
-            trial = profile.copy()
+            trial = copy_profile(profile)
             trial.prices[i] = q
             assert penalized_profit(i, trial, M_FINAL, scen) <= base + 1e-6 + 1e-9
         demand = best_response_demand(profile.prices, scen)
         j_alt, p_alt = fresh_best_response(i, profile, demand, scen, M_FINAL)
-        trial = profile.copy()
+        trial = copy_profile(profile)
         trial.targets[i], trial.powers[i] = j_alt, p_alt
         assert penalized_profit(i, trial, M_FINAL, scen) <= base + 1e-6 + 1e-9
         for j in [t for t in range(scen.n_nodes) if t != i]:
             for p in scen.devices[i].p_max * np.arange(1, 51) / 50:
-                trial = profile.copy()
+                trial = copy_profile(profile)
                 trial.targets[i], trial.powers[i] = j, p
                 assert penalized_profit(i, trial, M_FINAL, scen) <= base + 1e-6 + 1e-9
 
@@ -671,7 +672,7 @@ def test_epsilon_nash_certificate_scan():
 def test_unilateral_gains_zero_at_fixed_point():
     scen = relayable_scenario()
     rep = solve_stackelberg(scen, order_check=False)
-    gains = unilateral_gains(rep.profile(), scen, M_FINAL)
+    gains = unilateral_gains(copy_profile(rep), scen, M_FINAL)
     assert np.all(gains <= 1e-12)
 
 
@@ -707,7 +708,7 @@ def test_solve_certificate_equals_fresh_oracle(monkeypatch):
         seen.clear()
         rep = solve_stackelberg(scen, max_iter=max_iter, order_check=False)
         [(run, gains)] = seen
-        want = unilateral_gains_oracle(rep.profile(), scen, M_FINAL)
+        want = unilateral_gains_oracle(copy_profile(rep), scen, M_FINAL)
         assert run.targets == rep.targets.tolist() and run.powers == rep.powers.tolist(), label
         assert np.array_equal(gains, want), label
         assert rep.max_unilateral_gain == float(np.max(np.maximum(want, 0.0), initial=0.0)), label
@@ -716,7 +717,7 @@ def test_solve_certificate_equals_fresh_oracle(monkeypatch):
 
 
 def test_certificate_scores_price_deviations_like_oracle(paper9_report, paper9_scen):
-    profile = paper9_report.profile()
+    profile = copy_profile(paper9_report)
     profile.prices[::2] *= 1.1  # off the closed-form optimum
     gains = unilateral_gains(profile, paper9_scen, M_FINAL)
     assert np.array_equal(gains, unilateral_gains_oracle(profile, paper9_scen, M_FINAL))
@@ -900,7 +901,8 @@ def test_relay_context_refresh_equals_fresh_context():
             for k in range(n):
                 resummed[targets[k]] += scen.H[k, targets[k]] * powers[k]
             assert run.interference == resummed
-            ancestors = run.ancestors[i]
+            assert run.structure(i) == fresh.structure(i)
+            ancestors = run.structure(i)[0]
             labels = [
                 ENDS_AT_I if k == i or k in ancestors
                 else ENDS_AT_AP if run.reaches_ap[k] else ENDS_IN_CYCLE
