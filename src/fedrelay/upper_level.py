@@ -585,7 +585,7 @@ def unilateral_gains(
     the current value, so it is not scored; a device whose deviations
     both equal its strategy gains 0. A solve certifies the same way from
     its forward run, whose best responses are caught up with the run's
-    last moves and equal these bit for bit. Raises `check_fits`' ValueError.
+    last moves and equal these bit for bit. `profile.check_fits(scen)` runs first.
     """
     profile.check_fits(scen)
     closed_form = [price_best_response(i, scen) for i in range(scen.n_devices)]
