@@ -217,7 +217,7 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             profile.check_fits(scen)
             demand = lower_level.best_response_demand(profile.prices, scen)
             rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-            I = profile.indicator(scen.n_nodes)
+            I = profile.indicator()
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
         feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)

@@ -7,8 +7,8 @@ means every device has exactly one outgoing link, no self-loops, at
 least one device reaches the access point directly, and every forwarding
 chain terminates at the access point. Every check reads the indicator's
 rows as next-hop sets: out-degrees and diagonal entries per row, chain
-termination by stepping each node's next hops, and deadlines from one
-row and one column.
+termination by stepping each node's next hops, and every device's
+deadline from its row and column, for the whole profile at once.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ def processing_times(s: np.ndarray, scen: Scenario) -> np.ndarray:
     return np.asarray(s, dtype=float) / scen.param("r_p")
 
 
-def timing_violation(i: int, I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario) -> float:
-    """Arrival-deadline violation of device i at demand s (0 when met or
-    transmitting direct).
+def timing_violations(I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario) -> np.ndarray:
+    """Arrival-deadline violation of every device at demand s (0 when met
+    or transmitting direct).
 
     A device forwarding through relay j must finish computing, averaging
     its received updates, and transferring before j finishes computing:
@@ -111,26 +111,24 @@ def timing_violation(i: int, I: np.ndarray, s: np.ndarray, rates: np.ndarray, sc
     Only a device whose single outgoing link points at another device is
     subject to the deadline. A row that is not single-link (zero or
     multiple outgoing links) carries no timing term; it is already
-    structurally infeasible. O(n): reads row i and column i of I.
+    structurally infeasible. A relayed device without a positive rate
+    raises ZeroDivisionError.
     """
-    row = I[i]
-    if row.sum() != 1 or row[scen.ap] == 1 or row[i] == 1:
-        return 0.0
-    j = int(np.argmax(row))
-    if not rates[i] > 0:
-        raise ZeroDivisionError(
-            f"device {i} forwards through a relay but has no positive transmission rate"
-        )
-    T_s = processing_times(s, scen)
-    inflow = I[: scen.n_devices, i].sum()
-    return float(T_s[i] + scen.devices[i].T_a * inflow + scen.I_d / rates[i] - T_s[j])
-
-
-def timing_violations(I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario) -> np.ndarray:
-    """`timing_violation` of every device."""
     I = np.asarray(I)
     rates = np.asarray(rates, dtype=float)
-    return np.array([timing_violation(i, I, s, rates, scen) for i in range(scen.n_devices)])
+    n = scen.n_devices
+    degrees, loops, _ = link_faults(I)
+    k = np.flatnonzero((degrees == 1) & (loops == 0) & (I[:n, n] == 0))  # the relayed devices
+    stalled = k[~(rates[k] > 0)]
+    if len(stalled):
+        raise ZeroDivisionError(
+            f"device {stalled[0]} forwards through a relay but has no positive transmission rate"
+        )
+    T_s = processing_times(s, scen)
+    inflow, relay = I[:n, k].sum(axis=0), np.argmax(I[k], axis=1)
+    v = np.zeros(n)
+    v[k] = T_s[k] + scen.param("T_a")[k] * inflow + scen.I_d / rates[k] - T_s[relay]
+    return v
 
 
 def check_timing(I: np.ndarray, s: np.ndarray, rates: np.ndarray, scen: Scenario, tol: float = 0.0) -> np.ndarray:

@@ -119,8 +119,10 @@ class StrategyProfile:
             if p > d.p_max:
                 raise ValueError(f"device {k} power {p:g} exceeds p_max {d.p_max:g}")
 
-    def indicator(self, n_nodes: int) -> np.ndarray:
-        return routing.indicator_from_powers(routing.power_matrix(self.targets, self.powers, n_nodes))
+    def indicator(self) -> np.ndarray:
+        """0/1 indicator of the positive-power links over the n devices and the access point."""
+        P = routing.power_matrix(self.targets, self.powers, len(self.targets) + 1)
+        return routing.indicator_from_powers(P)
 
 
 @dataclass
@@ -163,19 +165,14 @@ def _profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
     return float(revenue - energy - processing + relay_revenue - relay_fee)
 
 
-def penalty_rho(
-    i: int,
-    I: np.ndarray,
-    demand: np.ndarray,
-    rates: np.ndarray,
-    scen: Scenario,
-) -> float:
+def penalty_rho(i: int, I: np.ndarray, demand: np.ndarray, rates: np.ndarray, scen: Scenario) -> float:
     """Constraint penalty for device i; 0 exactly when all constraints hold.
 
     Terms: own out-degree, own self-loop, global chain-termination
     defect, global access-point connection, own arrival deadline. The
     last two penalize violations only, squared. Every term comes from
-    the `routing` function that `routing.feasible` reports with.
+    the `routing` function that `routing.feasible` reports with; any
+    relayed device without a positive rate raises ZeroDivisionError.
     """
     I = np.asarray(I)
     degrees, loops, shortfall = routing.link_faults(I)
@@ -183,7 +180,7 @@ def penalty_rho(
     rho -= float(loops[i]) ** 2
     rho -= routing.reach_defect(I)
     rho -= max(0, shortfall) ** 2
-    rho -= max(0.0, routing.timing_violation(i, I, demand, rates, scen)) ** 2
+    rho -= max(0.0, float(routing.timing_violations(I, demand, rates, scen)[i])) ** 2
     return rho
 
 
@@ -251,8 +248,8 @@ class _Run:
     access point or ends in a cycle. `profile()` builds the current
     profile on request.
 
-    Device i's state starts at its first `best` and is kept in per-device
-    lists. Per candidate target j (every other node), `links[i][j]` holds
+    Device i's state is kept in per-device lists; its inflow starts
+    unknown, so its first `best` scores every link. Per candidate target j (every other node), `links[i][j]` holds
     the link terms that cost a `min_power_for_rate` and a `log2`: the
     power, the profit and the squared lateness, or None for a link that
     is not a candidate. Given the scenario, the prices, the demand and
@@ -269,9 +266,10 @@ class _Run:
     in ascending device order without device i; so every number equals
     what a fresh run computes, bit for bit.
 
-    Every other device must transmit with positive power, so every row
-    of the indicator is single-link. The chain-termination defect is
-    then twice the number of devices whose chain never reaches the
+    A run of two or more devices raises ValueError when it is built if a
+    start power is not positive; every move sets a positive power, so
+    every row of the indicator stays single-link. The chain-termination
+    defect is then twice the number of devices whose chain never reaches the
     access point, and device i's link decides only whether i and its
     ancestors (the devices whose chains pass through i) join them. At
     each `best`, `structure(i)` derives from the labels device i's
@@ -302,10 +300,15 @@ class _Run:
         self.processing = [float(d.c_p * demand[i]) for i, d in enumerate(self.devices)]
         self.floor = [d.p_max / power_grid for d in self.devices]
         self.cache = [{} for _ in range(n)] if cache is None else cache
+        if n > 1 and not min(self.powers) > 0:
+            k = self.powers.index(min(self.powers))
+            raise ValueError(
+                f"device {k} has power {self.powers[k]:g}; best responses need every device "
+                "to transmit with positive power"
+            )
         self._label()
         self.interference = [self.co_target_power(j) for j in range(n + 1)]
-        # per device; links[i] is None until device i's first `best`
-        self.links: list[list[tuple[float, float, float] | None] | None] = [None] * n
+        self.links: list[list[tuple[float, float, float] | None]] = [[None] * (n + 1) for _ in range(n)]
         self.inflow = [-1] * n
         self.touched: list[set[int]] = [set() for _ in range(n)]
 
@@ -342,14 +345,6 @@ class _Run:
 
     def _catch_up(self, i: int) -> None:
         """Bring device i's links up to date with the others' moves since its last turn."""
-        links = self.links[i]
-        if links is None:
-            if not all(self.powers[k] > 0 for k in range(self.ap) if k != i):
-                raise ValueError(
-                    f"best response of device {i} needs every other device to transmit "
-                    "with positive power"
-                )
-            links = self.links[i] = [None] * (self.ap + 1)
         inflow = len(self.children[i])
         touched = self.touched[i]
         if inflow != self.inflow[i]:
@@ -357,7 +352,7 @@ class _Run:
             # scoring every link starts at the direct one, so a zero-rate power
             # floor stops the solve before any relay link is tried
             touched = range(self.ap, -1, -1)
-        cache, own, shared = self.cache[i], self.targets[i], self.interference
+        links, cache, own, shared = self.links[i], self.cache[i], self.targets[i], self.interference
         for j in touched:
             if j == i:
                 continue
@@ -453,7 +448,7 @@ class _Run:
         on p, so any higher power is dominated. A floor whose rate rounds
         to 0, or whose profit overflows, raises ScenarioError. Ranking is
         by penalized profit; ties keep the lower node, so the direct link
-        ranks last. Every other device must transmit with positive power.
+        ranks last.
         """
         self._catch_up(i)
         reaches, ap = self.reaches_ap, self.ap
@@ -625,7 +620,7 @@ def solve_stackelberg(
     gain = float(np.max(np.maximum(gains, 0.0), initial=0.0))
     profile = run.profile()
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    I = profile.indicator(scen.n_nodes)
+    I = profile.indicator()
     profits = np.array([
         _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen) for i in range(n)
     ])

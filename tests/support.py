@@ -224,7 +224,7 @@ def copy_profile(x) -> StrategyProfile:
 def device_profit(i, profile, demand, scen) -> float:
     """Profit of device i at `profile` and `demand`, by `_profit_terms`."""
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    I = profile.indicator(scen.n_nodes)
+    I = profile.indicator()
     return _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
 
 

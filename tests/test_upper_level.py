@@ -732,13 +732,13 @@ def test_certificate_reuses_run_contexts(monkeypatch):
 
     def gains(run, *args, **kwargs):
         nonlocal inside
-        unstarted = run.links.count(None)
+        unstarted = run.inflow.count(-1)
         inside = True
         try:
             return original_gains(run, *args, **kwargs)
         finally:
             inside = False
-            counts["started"] += unstarted - run.links.count(None)
+            counts["started"] += unstarted - run.inflow.count(-1)
 
     def value(*args, **kwargs):
         counts["_value"] += inside
