@@ -218,9 +218,9 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             demand = lower_level.best_response_demand(profile.prices, scen)
             rates = radio.transmission_rates(profile.targets, profile.powers, scen)
             I = profile.indicator()
-        except (KeyError, TypeError, ValueError) as exc:
+            feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
-        feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
         print(f"profile feasible: {feas}")
         for v in violations:
             print(f"  violation: {v}")

@@ -311,6 +311,8 @@ class _Run:
         self.links: list[list[tuple[float, float, float] | None]] = [[None] * (n + 1) for _ in range(n)]
         self.inflow = [-1] * n
         self.touched: list[set[int]] = [set() for _ in range(n)]
+        # per device: (M, found a feasible action, rho, target, power) of its last ranking
+        self.answers: list[tuple[float, bool, float, int, float] | None] = [None] * n
 
     def _label(self) -> None:
         """Children of every node, and whether each device's chain reaches
@@ -449,11 +451,23 @@ class _Run:
         to 0, or whose profit overflows, raises ScenarioError. Ranking is
         by penalized profit; ties keep the lower node, so the direct link
         ranks last.
+
+        A call that nothing touched since device i's last one, at the same
+        inflow, returns that call's answer unranked when M is that call's
+        coefficient and that call found a feasible action, or when M is
+        larger and the answer's rho was exactly 0. For rho <= 0, M * rho
+        only falls as M grows, so no link overtakes or ties an answer
+        whose value stays at its profit.
         """
+        last = self.answers[i]
+        if last is not None and not self.touched[i] and len(self.children[i]) == self.inflow[i]:
+            M_last, feasible, rho, j, p = last
+            if (M == M_last and feasible) or (M > M_last and rho == 0.0):
+                return j, p
         self._catch_up(i)
         reaches, ap = self.reaches_ap, self.ap
         ancestors, reached, cut, direct = self.structure(i)
-        best_j, best_p = -1, 0.0
+        best_j, best_p, best_rho = -1, 0.0, 0.0
         best_val = -math.inf
         any_feasible = False
         for j, link in enumerate(self.links[i]):
@@ -470,13 +484,14 @@ class _Run:
             if rho == 0.0:
                 any_feasible = True
             if val > best_val:
-                best_j, best_p, best_val = j, p, val
+                best_j, best_p, best_rho, best_val = j, p, rho, val
         assert best_j >= 0
         if not any_feasible:
             logger.warning(
                 "device %d has no feasible action even at p_max; "
                 "keeping the least-penalized one (target %d)", i, best_j
             )
+        self.answers[i] = (M, any_feasible, best_rho, best_j, best_p)
         return best_j, best_p
 
     def move(self, i: int, j: int, p: float) -> None:

@@ -1,15 +1,23 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrelay.cli import RunConfig, main, reverify_unilateral_gain
 from fedrelay.radio import transmission_energy_cost
 from fedrelay.scenario import (
     ALPHA_MAX,
+    ALPHA_MIN,
     I_D_MAX,
     P_MAX_MIN,
     RELAY_SPEC,
@@ -23,6 +31,7 @@ from fedrelay.scenario import (
     paper9_scenario,
     random_scenario,
     save_scenario,
+    scenario_from_dict,
     scenario_to_dict,
 )
 from support import make_device, make_scenario
@@ -708,6 +717,7 @@ def _write_json(tmp_path, name, data):
         ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [1e308, 1.0]}, "device 0 power 1e+308 exceeds"),
         ({"prices": [1e9, 5.0], "targets": [2, 2], "powers": [1.0, 1.0]}, "device 0 price 1e+09 lies outside [1e-05, 120]"),
         ({"prices": [50.0, 1e-300], "targets": [2, 2], "powers": [1.0, 1.0]}, "device 1 price 1e-300 lies outside [1e-05, 10]"),
+        ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [1e-300, 1.0]}, "no positive transmission rate"),
     ],
 )
 def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
@@ -772,3 +782,67 @@ def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
                  "--param", "I_d", "--values", "0.1,abc"]) == 2
     assert "--values" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _spanning(lo, hi):
+    """Floats over [lo, hi] for 0 < lo < hi, log-uniform, with both bounds."""
+    exponents = st.floats(math.log10(lo), math.log10(hi))
+    return st.one_of(st.sampled_from((lo, hi)), exponents.map(lambda e: 10.0**e))
+
+
+_DEVICE = st.fixed_dictionaries({
+    "c_p": st.one_of(st.just(0.0), _spanning(1e-6, 1e3)),
+    "c_t": _spanning(1e-6, 1e6),
+    "r_p": _spanning(R_P_MIN, 1e6),
+    "T_a": _spanning(1e-9, T_A_MAX),
+    "w": _spanning(W_MIN, 1e6),
+    "accuracy": st.fixed_dictionaries({
+        "a": _spanning(1e-3, 1e6), "b": _spanning(1e-3, 1e6), "c": _spanning(1e-3, 1e3),
+    }),
+    "s_max": _spanning(1e-6, S_MAX_MAX),
+    "q_max": _spanning(1e-6, 1e6),
+    "p_max": _spanning(P_MAX_MIN, 1e3),
+})
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenario config dicts of 1-4 devices, each parameter across its checked range."""
+    devices = draw(st.lists(_DEVICE, min_size=1, max_size=4))
+    coordinate = st.floats(-100.0, 100.0)
+    positions = [[draw(coordinate), draw(coordinate)] for _ in range(len(devices) + 1)]
+    return {
+        "devices": devices,
+        "positions": positions,
+        "global": {
+            "alpha": draw(st.floats(ALPHA_MIN, ALPHA_MAX)),
+            "sigma2": draw(_spanning(SIGMA2_MIN, SIGMA2_MAX)),
+            "I_d": draw(_spanning(1e-6, I_D_MAX)),
+            "c_a": draw(st.one_of(st.just(0.0), _spanning(1e-6, 1e3))),
+            "h": draw(_spanning(1e-6, 1e6)),
+        },
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=scenario_dicts())
+def test_every_scenario_solves_to_finite_report_or_exits_2(data):
+    try:
+        scenario_from_dict(data)
+    except ScenarioError:
+        return
+    with tempfile.TemporaryDirectory() as name:
+        path, out = Path(name) / "scenario.json", Path(name) / "run"
+        path.write_text(json.dumps(data))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(["solve", "--scenario", str(path), "--max-iter", "5", "--out", str(out)])
+        if rc == 2:
+            assert "invalid config" in stderr.getvalue()
+            return
+        assert rc in (0, 3)
+
+        def reject(constant):
+            raise AssertionError(f"report.json holds {constant}")
+
+        json.loads((out / "report.json").read_text(), parse_constant=reject)

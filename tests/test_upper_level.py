@@ -365,6 +365,33 @@ def test_relay_br_reports_no_feasible_action(caplog):
     assert target == 3  # least-penalized: keep its own link clean
 
 
+def test_best_reranks_an_untouched_device_only_without_a_feasible_action(caplog, monkeypatch):
+    ranked = 0
+    original = _Run.structure
+
+    def counted(*args, **kwargs):
+        nonlocal ranked
+        ranked += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_Run, "structure", counted)
+    # the cycle of test_relay_br_reports_no_feasible_action: every call ranks and warns
+    scen = make_scenario([[3.0, 0.0], [4.0, 0.0], [5.0, 0.0], [0.0, 0.0]], r_p=1.0)
+    profile = StrategyProfile(np.array([60.0, 60.0, 60.0]), np.array([3, 2, 1]), np.ones(3))
+    run = _Run(profile, np.array([0.1, 0.1, 0.1]), scen, 50)
+    with caplog.at_level("WARNING"):
+        answers = [run.best(0, M) for M in (M_FINAL, M_FINAL, 10 * M_FINAL)]
+    assert len(set(answers)) == 1 and ranked == 3
+    assert caplog.text.count("no feasible action") == 3
+    # all direct: a feasible answer stands at its own and at any larger coefficient
+    scen = paper9_scenario(7)
+    profile = default_init(scen)
+    run = _Run(profile, best_response_demand(profile.prices, scen), scen, 50)
+    answers = [run.best(0, M) for M in (10.0, 10.0, 1e8)]
+    assert ranked == 4
+    assert answers == [fresh_best_response(0, profile, run.demand, scen, 1e8)] * 3
+
+
 def random_profile(rng, scen):
     """Random prices and positive powers; uniform targets, so cycles, tails
     into cycles and relay chains all occur."""
@@ -927,6 +954,22 @@ def test_solve_rescores_only_touched_links(monkeypatch):
     # re-scoring only touched links made 166, before the two runs shared
     # their link terms
     assert 0 < calls <= 120
+
+
+def test_solve_skips_best_responses_that_nothing_changed(monkeypatch):
+    ranked = 0
+    original = _Run.structure
+
+    def counted(*args, **kwargs):
+        nonlocal ranked
+        ranked += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_Run, "structure", counted)
+    solve_stackelberg(paper9_scenario(7))
+    # all 252 best responses ranked their links before an untouched device
+    # returned its last answer; 169 rank with the skip
+    assert 0 < ranked <= 170
 
 
 def test_solve_solves_each_price_once(monkeypatch):

@@ -1,6 +1,6 @@
 """Digest the artifacts of a fixed set of CLI runs, to compare two checkouts.
 
-Runs 47 `fedrelay` command lines in-process and hashes, per run, the exit
+Runs 48 `fedrelay` command lines in-process and hashes, per run, the exit
 code, stdout and, for a run with `--out`, every file written to the
 output directory. It prints one line per run and a total; two checkouts
 whose totals match produce byte-identical artifacts. The temporary
@@ -34,7 +34,8 @@ MASK = "<tmp>"
 
 def command_lines(tmp: Path) -> list[list[str]]:
     """The runs: solves and sweeps, each writing to its own directory under
-    `tmp`, then validations, which write nothing, then a one-device solve."""
+    `tmp`, then validations, which write nothing, a one-device solve and
+    one more validation."""
     runs: list[list[str]] = []
     runs += [["solve", "--preset", "paper9", "--seed", str(s)] for s in range(12)]
     runs += [
@@ -61,12 +62,18 @@ def command_lines(tmp: Path) -> list[list[str]]:
     # device 1 relays to device 2 and misses its arrival deadline
     relay = tmp / "relay-profile.json"
     relay.write_text(json.dumps({"prices": [10.0] * 9, "targets": [1] + [9] * 8, "powers": [1.0] * 9}))
+    # device 1 relays to device 2 at a power whose rate rounds to 0: exit 2
+    stalled = tmp / "stalled-profile.json"
+    stalled.write_text(
+        json.dumps({"prices": [10.0] * 9, "targets": [1] + [9] * 8, "powers": [1e-300] + [1.0] * 8})
+    )
     runs += [
         ["validate", "--preset", "paper9", "--seed", "7"],
         ["validate", "--random", "3", "--seed", "5", "--routing", str(cyclic)],
         ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(direct)],
         ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(relay)],
         ["solve", "--random", "1", "--seed", "0", "--out", str(tmp / f"run-{len(runs)}")],
+        ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(stalled)],
     ]
     return runs
 

@@ -6,9 +6,11 @@ runs a 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
 `random_scenario(9, 0, RELAY_SPEC)`, solved as `fedrelay sweep` does,
 without the order check. It also times `cli.write_solve_artifacts`
 alone, writing paper9 seed 7's artifacts from a solve made before the
-timer starts. Each instance runs three times. Prints one JSON object:
-per instance the median CPU time (`time.process_time`) with the three
-samples, the rounds (`iterations`, summed over a sweep's points),
+timer starts. Each instance runs until it has at least 3 samples and
+2 s of CPU time (`time.process_time`) in total, so a millisecond
+instance gets hundreds of samples. Prints
+one JSON object: per instance the median and the minimum CPU time and
+the sample count, the rounds (`iterations`, summed over a sweep's points),
 `converged` (all of a sweep's points) and the process's peak resident
 set size after the instance (`ru_maxrss`, so it never falls from one
 instance to the next), and the machine it ran on. Run it against a
@@ -17,7 +19,7 @@ checkout:
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
 Compare two checkouts on the same machine; `BENCH_solve.json` holds
-such a pair.
+such pairs.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from fedrelay.upper_level import solve_stackelberg
 # `scenario.RELAY_SPEC`, written out: the harness also runs against checkouts
 # that predate the constant.
 RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
-REPEATS = 3
+MIN_SAMPLES = 3
+MIN_CPU_S = 2.0
 SWEEP_I_D = (0.05, 0.1, 0.2, 0.4)
 
 
@@ -118,8 +121,8 @@ def main() -> None:
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, scen, run in instances(Path(tmp)):
-            samples = []
-            for _ in range(REPEATS):
+            samples: list[float] = []
+            while len(samples) < MIN_SAMPLES or sum(samples) < MIN_CPU_S:
                 start = time.process_time()
                 iterations, converged = run(scen)
                 samples.append(time.process_time() - start)
@@ -127,7 +130,8 @@ def main() -> None:
                 "instance": name,
                 "n": scen.n_devices,
                 "cpu_s_median": statistics.median(samples),
-                "cpu_s": samples,
+                "cpu_s_min": min(samples),
+                "samples": len(samples),
                 "iterations": iterations,
                 "converged": converged,
                 "peak_rss_mb": peak_rss_mb(),
