@@ -249,14 +249,14 @@ class _Run:
     profile on request.
 
     Device i's state is kept in per-device lists; its inflow starts
-    unknown, so its first `best` scores every link. Per candidate target j (every other node), `links[i][j]` holds
-    the link terms that cost a `min_power_for_rate` and a `log2`: the
-    power, the profit and the squared lateness, or None for a link that
-    is not a candidate. Given the scenario, the prices, the demand and
-    the power grid, the terms of link j depend only on device i's inflow
-    and the co-target interference at j, so they are looked up in
-    `cache[i]` under (j, inflow, interference) and computed only on a
-    miss. The cache stays exact for any run with the same scenario,
+    unknown, so its first `best` scores every link. Per candidate target
+    j (every other node), `links[i][j]` holds the link terms that cost a
+    `min_power_for_rate` and a `log2`: the power, the profit and the
+    squared lateness, or None for a link that is not a candidate. Given
+    the scenario, the prices, the demand and the power grid, the terms of
+    link j depend only on device i's inflow and the co-target
+    interference at j, so they are looked up in `cache[i]` under
+    (j, inflow, interference) and computed only on a miss. The cache stays exact for any run with the same scenario,
     prices, demand and power grid, so the runs of one solve share it.
 
     `best(i, M)` first catches device i up: it looks a link up again only
@@ -269,15 +269,16 @@ class _Run:
     A run of two or more devices raises ValueError when it is built if a
     start power is not positive; every move sets a positive power, so
     every row of the indicator stays single-link. The chain-termination
-    defect is then twice the number of devices whose chain never reaches the
-    access point, and device i's link decides only whether i and its
+    defect is then twice the number of devices whose chain never reaches
+    the access point, and device i's link decides only whether i and its
     ancestors (the devices whose chains pass through i) join them. At
     each `best`, `structure(i)` derives from the labels device i's
     ancestors and the rho, before its lateness term, of a link to a
     device whose chain then reaches the access point, to one whose chain
     does not, and of the direct link; nothing of it is cached. Neither
     profit nor rho depends on the penalty coefficient M, so `best` only
-    re-ranks the cached links by profit + M * rho.
+    re-ranks the cached links by profit + M * rho, and `answers[i]` keeps
+    device i's last ranking for `best` to return when it still stands.
     """
 
     def __init__(

@@ -197,6 +197,28 @@ def grouped_rates_oracle(targets, powers, H, scen) -> np.ndarray:
     return rates
 
 
+def timing_violations_oracle(I, s, rates, scen) -> np.ndarray:
+    """Arrival-deadline violation of each device, one device at a time
+    from its row and column of I, in Python floats: 0 unless the row has
+    a single link to another device; ZeroDivisionError for such a device
+    without a positive rate."""
+    n = scen.n_devices
+    T_s = [float(s[k]) / scen.devices[k].r_p for k in range(n)]
+    v = np.zeros(n)
+    for i in range(n):
+        row = [int(x) for x in I[i]]
+        if sum(row) != 1 or row[n] or row[i]:
+            continue
+        if not rates[i] > 0:
+            raise ZeroDivisionError(
+                f"device {i} forwards through a relay but has no positive transmission rate"
+            )
+        inflow = sum(int(I[k][i]) for k in range(n))
+        late = T_s[i] + scen.devices[i].T_a * inflow + scen.I_d / float(rates[i])
+        v[i] = late - T_s[row.index(1)]
+    return v
+
+
 def profit_oracle(i, prices, targets, powers, demand, rates, scen) -> float:
     """Term-by-term device profit recomputation."""
     d = scen.devices[i]

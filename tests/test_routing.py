@@ -18,7 +18,8 @@ from fedrelay.routing import (
     routing_lines,
     timing_violations,
 )
-from support import make_scenario, reach_defect_matrix, walk_reaches_ap
+from fedrelay.scenario import RELAY_SPEC, random_scenario
+from support import make_scenario, reach_defect_matrix, timing_violations_oracle, walk_reaches_ap
 
 # published routing map for the 9-device benchmark: 1-based child -> relay
 TABLE_ROUTING = {1: "N_D", 2: "N_D", 3: "7", 4: "N_D", 5: "4", 6: "4", 7: "N_D", 8: "N_D", 9: "N_D"}
@@ -188,6 +189,33 @@ def test_timing_zero_rate_relayed_signals():
     I = plan_to_indicator(np.array([1, 2]), 3)
     with pytest.raises(ZeroDivisionError):
         check_timing(I, np.array([1.0, 2.0]), np.array([0.0, 1.0]), scen)
+
+
+def test_timing_violations_equal_per_device_oracle():
+    rng = np.random.default_rng(5150)
+    raised = relayed = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 10))
+        scen = random_scenario(n, seed=trial, spec=RELAY_SPEC)
+        # rows with zero, one (self-loops and direct links included) or two links
+        I = np.zeros((n + 1, n + 1), dtype=np.int64)
+        for i in range(n):
+            I[i, rng.choice(n + 1, size=rng.choice([0, 1, 1, 1, 2]), replace=False)] = 1
+        demand = rng.uniform(0.0, 3.0, size=n)
+        rates = rng.uniform(0.5, 50.0, size=n)
+        if trial % 5 == 0:
+            rates[rng.integers(n)] = 0.0
+        try:
+            want = timing_violations_oracle(I, demand, rates, scen)
+        except ZeroDivisionError as exc:
+            with pytest.raises(ZeroDivisionError, match=f"^{exc}$"):
+                timing_violations(I, demand, rates, scen)
+            raised += 1
+            continue
+        got = timing_violations(I, demand, rates, scen)
+        assert got.tobytes() == want.tobytes()
+        relayed += np.count_nonzero(want)
+    assert raised >= 20 and relayed >= 300
 
 
 def test_timing_monotone_in_relay_processing_time(rng):
