@@ -8,10 +8,9 @@ without the order check. It also times `cli.write_solve_artifacts`
 alone, writing paper9 seed 7's artifacts from a solve made before the
 timer starts. Each instance runs until it has at least 3 samples and
 2 s of CPU time (`time.process_time`) in total, so a millisecond
-instance gets hundreds of samples. Prints
-one JSON object: per instance the median and the minimum CPU time and
-the sample count, the rounds (`iterations`, summed over a sweep's points),
-`converged` (all of a sweep's points) and the process's peak resident
+instance gets hundreds of samples. Prints one JSON object: per instance
+the median and the minimum CPU time and the sample count, the rounds
+(`iterations`, summed over a sweep's points), `converged` (all of a sweep's points) and the process's peak resident
 set size after the instance (`ru_maxrss`, so it never falls from one
 instance to the next), and the machine it ran on. Run it against a
 checkout:
