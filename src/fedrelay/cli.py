@@ -186,11 +186,7 @@ def _print_table(report: EquilibriumReport) -> None:
 
 
 def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | None) -> int:
-    try:
-        scen = cfg.scenario()
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 2
+    scen = cfg.scenario()
     print(f"scenario OK: {scen.n_devices} devices")
     ok = True
     if routing_path is not None:
@@ -250,8 +246,7 @@ def sweep_rows(scen: Scenario, param: str, value: float, cfg: RunConfig) -> list
 
 def cmd_sweep(cfg: RunConfig, param: str, values: tuple[float, ...]) -> int:
     if param not in SWEEPABLE:
-        print(f"unsupported sweep parameter {param!r}; choose from {SWEEPABLE}", file=sys.stderr)
-        return 2
+        raise ScenarioError(f"unsupported sweep parameter {param!r}; choose from {SWEEPABLE}")
     scen = cfg.scenario()
     header = ("param", "value", "converged") + EQUILIBRIUM_COLUMNS
     rows: list[tuple] = []
@@ -333,11 +328,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _run_config(args)
-    except ScenarioError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "validate":
             return cmd_validate(cfg, args.routing, args.profile)
         if args.command == "solve":

@@ -232,12 +232,22 @@ def build_channel_matrix(scen: Scenario) -> np.ndarray:
     return scen.H.copy()
 
 
+# The wireless constants and geometry of every generated instance, paper9 and
+# random alike: bandwidth w, raw gain h, path-loss exponent alpha, noise
+# sigma2, update size I_d, relay fee c_a, power cap p_max, the side of the
+# square area, and the truncation floor of the Gaussian draws.
+W, H_GAIN, ALPHA, SIGMA2, I_D, C_A, P_MAX, AREA, DRAW_FLOOR = (
+    1.0, 10.0, 2.0, 1.0, 0.1, 0.0096, 10.0, 10.0, 1e-6
+)
+
+
 @dataclass(frozen=True)
 class RandomSpec:
-    """Gaussian (mean, std) generators for random device parameters.
+    """Gaussian (mean, std) generators for the six random device parameters.
 
     Stds may be zero (all devices identical to the mean) but not negative.
-    Draws are truncated below at `floor` to keep every parameter positive.
+    Draws are truncated below at DRAW_FLOOR to keep every parameter
+    positive; the wireless constants are the module's, shared with paper9.
     """
 
     c_t: tuple[float, float] = (75.0, 40.0)
@@ -246,21 +256,12 @@ class RandomSpec:
     T_a: tuple[float, float] = (0.010, 0.003)
     acc_a: tuple[float, float] = (11.0, 1.5)
     acc_c: tuple[float, float] = (12.5, 2.3)
-    w: float = 1.0
-    h: float = 10.0
-    alpha: float = 2.0
-    sigma2: float = 1.0
-    I_d: float = 0.1
-    c_a: float = 0.0096
-    p_max: float = 10.0
-    area: float = 10.0
-    floor: float = 1e-6
 
     def __post_init__(self):
-        for name in ("c_t", "c_p", "r_p", "T_a", "acc_a", "acc_c"):
-            mean, std = getattr(self, name)
-            _check(f"std of {name}", std, 0.0, at_least=True)
-            _check(f"mean of {name}", mean, 0.0)
+        for f in fields(self):
+            mean, std = getattr(self, f.name)
+            _check(f"std of {f.name}", std, 0.0, at_least=True)
+            _check(f"mean of {f.name}", mean, 0.0)
 
 
 # Slow, heterogeneous processing rates: they open arrival windows, so relays
@@ -269,18 +270,15 @@ RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 
 
 def _seeded_scenario(
-    n: int,
-    seed: int,
-    spec: RandomSpec,
-    columns: Callable[[np.random.Generator], Sequence[Sequence[float]]],
+    n: int, seed: int, columns: Callable[[np.random.Generator], Sequence[Sequence[float]]]
 ) -> Scenario:
-    """Instance with node positions uniform on [0, spec.area]^2, drawn first
-    from `seed`, and the device columns (c_t, c_p, r_p, T_a, acc_a, acc_c)
-    that `columns` returns from the same generator.
+    """Instance with node positions uniform on [0, AREA]^2, drawn first
+    from `seed`, the device columns (c_t, c_p, r_p, T_a, acc_a, acc_c)
+    that `columns` returns from the same generator, and the module's
+    wireless constants.
 
     Accuracy b equals a; price caps sit at c*b and demand caps bind only at
-    the price floor. Of `spec` only the globals (w, h, alpha, sigma2, I_d,
-    c_a, p_max, area) are read here.
+    the price floor.
     """
     if n < 1:
         raise ScenarioError(f"need at least one device, got n={n}")
@@ -289,7 +287,7 @@ def _seeded_scenario(
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}") from exc
     try:
-        positions = rng.uniform(0.0, spec.area, size=(n + 1, 2))
+        positions = rng.uniform(0.0, AREA, size=(n + 1, 2))
     except ValueError as exc:  # past numpy's array limits, before any allocation
         raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
     c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
@@ -301,22 +299,16 @@ def _seeded_scenario(
             c_t=float(c_t[i]),
             r_p=float(r_p[i]),
             T_a=float(T_a[i]),
-            w=spec.w,
+            w=W,
             accuracy=AccuracyModel(a=float(acc_a[i]), b=float(acc_a[i]), c=float(acc_c[i])),
             s_max=float(s_max[i]),
             q_max=float(cb[i]),
-            p_max=float(spec.p_max),
+            p_max=P_MAX,
         )
         for i in range(n)
     )
     return Scenario(
-        devices=devices,
-        positions=positions,
-        h=spec.h,
-        alpha=spec.alpha,
-        sigma2=spec.sigma2,
-        I_d=spec.I_d,
-        c_a=spec.c_a,
+        devices=devices, positions=positions, h=H_GAIN, alpha=ALPHA, sigma2=SIGMA2, I_d=I_D, c_a=C_A
     )
 
 
@@ -330,11 +322,6 @@ _P9_COLUMNS = (
     (9.78, 9.15, 11.35, 11.17, 12.7, 9.15, 12.38, 13.5, 10.59),
     (15.28, 9.17, 14.31, 11.21, 9.12, 13.61, 13.27, 9.63, 14.32),
 )
-# paper9's globals, stated in full so that a change to RandomSpec's defaults never
-# moves it; its Gaussian fields are never drawn from.
-_P9_GLOBALS = RandomSpec(
-    w=1.0, h=10.0, alpha=2.0, sigma2=1.0, I_d=0.1, c_a=0.0096, p_max=10.0, area=10.0
-)
 
 
 def paper9_scenario(seed: int) -> Scenario:
@@ -343,7 +330,7 @@ def paper9_scenario(seed: int) -> Scenario:
     All device parameters are fixed; node positions are uniform on
     [0, 10]^2 and depend only on `seed`.
     """
-    return _seeded_scenario(len(_P9_COLUMNS[0]), seed, _P9_GLOBALS, lambda rng: _P9_COLUMNS)
+    return _seeded_scenario(len(_P9_COLUMNS[0]), seed, lambda rng: _P9_COLUMNS)
 
 
 def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scenario:
@@ -351,9 +338,9 @@ def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scena
 
     def draw(rng: np.random.Generator) -> list[np.ndarray]:
         dists = (spec.c_t, spec.c_p, spec.r_p, spec.T_a, spec.acc_a, spec.acc_c)
-        return [np.maximum(rng.normal(mean, std, size=n), spec.floor) for mean, std in dists]
+        return [np.maximum(rng.normal(mean, std, size=n), DRAW_FLOOR) for mean, std in dists]
 
-    return _seeded_scenario(n, seed, spec, draw)
+    return _seeded_scenario(n, seed, draw)
 
 
 # the scalar wireless constants of the config file's "global" section, beside "h"

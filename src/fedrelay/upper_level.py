@@ -386,9 +386,10 @@ class _Run:
 
     def _link_terms(self, i: int, j: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link
-        to j; None for a relay link whose gain, power or rate is 0. The
-        relay power is the least that meets the arrival deadline at j
-        against `interference`, p_max when no power does."""
+        to j; None for a relay link whose gain or rate is 0, which a power
+        that rounds to 0 gives. The relay power is the least that meets the
+        arrival deadline at j against `interference`, p_max when no power
+        does."""
         d = self.devices[i]
         if j == self.ap:
             p = self.floor[i]
@@ -415,8 +416,6 @@ class _Run:
                 p = radio.min_power_for_rate(i, j, rate, interference, self.scen)
             except radio.PowerLimitError:
                 pass
-        if not p > 0:
-            return None
         terms = self._terms(i, j, p, interference)
         return None if terms is None else (p, *terms)
 
@@ -453,15 +452,17 @@ class _Run:
         by penalized profit; ties keep the lower node, so the direct link
         ranks last.
 
-        A call that nothing touched since device i's last one, at the same
-        inflow, returns that call's answer unranked when M is that call's
-        coefficient and that call found a feasible action, or when M is
-        larger and the answer's rho was exactly 0. For rho <= 0, M * rho
-        only falls as M grows, so no link overtakes or ties an answer
-        whose value stays at its profit.
+        A call that nothing touched since device i's last one returns that
+        call's answer unranked when M is that call's coefficient and that
+        call found a feasible action, or when M is larger and the answer's
+        rho was exactly 0. For rho <= 0, M * rho only falls as M grows, so
+        no link overtakes or ties an answer whose value stays at its
+        profit. An empty `touched[i]` also means an unchanged inflow: only
+        another device's move changes device i's children, and every such
+        move adds i to `touched[i]`.
         """
         last = self.answers[i]
-        if last is not None and not self.touched[i] and len(self.children[i]) == self.inflow[i]:
+        if last is not None and not self.touched[i]:
             M_last, feasible, rho, j, p = last
             if (M == M_last and feasible) or (M > M_last and rho == 0.0):
                 return j, p
