@@ -324,7 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
+    logging.basicConfig()  # a stderr handler, unless the process already logs somewhere
+    # set at every call: basicConfig leaves an existing configuration alone
+    logging.getLogger("fedrelay").setLevel(logging.DEBUG if args.verbose else logging.NOTSET)
 
     try:
         cfg = _run_config(args)

@@ -386,8 +386,8 @@ class _Run:
 
     def _link_terms(self, i: int, j: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link
-        to j; None for a relay link whose gain or rate is 0, which a power
-        that rounds to 0 gives. The relay power is the least that meets the
+        to j; None for a relay link whose gain or rate is 0, as at a power
+        that rounds to 0. The relay power is the least that meets the
         arrival deadline at j against `interference`, p_max when no power
         does."""
         d = self.devices[i]

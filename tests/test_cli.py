@@ -53,6 +53,18 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def test_verbose_applies_to_its_own_call_only(tmp_path, caplog):
+    # the root logger's level and handlers are pytest's, as in any process
+    # that configured logging before calling main
+    argv = ["solve", "--preset", "paper9", "--seed", "7", "--out", str(tmp_path / "run")]
+    assert main(["--verbose"] + argv) == 0
+    debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+    assert debug and all("devices changed" in m for m in debug)
+    caplog.clear()
+    assert main(argv) == 0
+    assert not [r for r in caplog.records if r.levelname == "DEBUG"]
+
+
 def test_validate_preset_ok(capsys):
     assert main(["validate", "--preset", "paper9", "--seed", "3"]) == 0
     assert "scenario OK" in capsys.readouterr().out
@@ -64,7 +76,15 @@ def test_validate_rejects_zero_noise(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     assert main(["validate", "--scenario", str(path)]) == 2
-    assert "sigma2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and err.count("\n") == 1 and "sigma2" in err
+
+
+def test_validate_missing_scenario_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and err.count("\n") == 1 and str(path) in err
 
 
 def _nan_position(data):
@@ -95,6 +115,18 @@ def _text_positions(data):
     data["positions"][2][0] = "east"
 
 
+def _no_devices(data):
+    data["devices"] = []
+
+
+def _three_coordinates(data):
+    data["positions"] = [p + [0.0] for p in data["positions"]]
+
+
+def _gain_9x9(data):
+    data["global"]["h"] = [[10.0] * 9] * 9
+
+
 def _ragged_gain(data):
     data["global"]["h"] = [[10.0, 10.0], [10.0]]
 
@@ -115,6 +147,9 @@ def _text_gain(data):
         (_text_positions, "malformed scenario config"),
         (_ragged_gain, "malformed scenario config"),
         (_text_gain, "malformed scenario config"),
+        (_no_devices, "scenario needs at least one device"),
+        (_three_coordinates, "positions must have shape (10, 2)"),
+        (_gain_9x9, "h must be scalar or (10, 10)"),
     ],
 )
 def test_solve_rejects_non_finite_scenario(tmp_path, capsys, corrupt, message):
@@ -645,7 +680,8 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     _, path = relayable_scenario_file(tmp_path)
     assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "s"),
                  "--param", "bogus", "--values", "1"]) == 2
-    assert "bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and err.count("\n") == 1 and "bogus" in err
 
 
 def test_sweep_deterministic(tmp_path):

@@ -1010,6 +1010,19 @@ def test_relay_br_drops_zero_rate_relay_links(far, h_relay):
         value(run, 0, 1, scen.devices[0].p_max, M_FINAL)
 
 
+def test_relay_br_drops_relay_links_whose_deadline_power_rounds_to_0():
+    # so small an update meets the deadline at a power that rounds to 0
+    scen = dataclasses.replace(relayable_scenario(), I_d=1e-300)
+    profile = default_init(scen)
+    demand = best_response_demand(profile.prices, scen)
+    T_s = routing.processing_times(demand, scen)
+    assert T_s[1] > T_s[0]
+    assert min_power_for_rate(0, 1, scen.I_d / (T_s[1] - T_s[0]), 0.0, scen) == 0.0
+    run = caught_up_run(0, profile, demand, scen)
+    assert run.links[0][1] is None
+    assert [c[0] for c in candidates(run, 0)] == [scen.ap]
+
+
 def test_round_robin_logs_one_debug_record_per_round(caplog):
     with caplog.at_level("DEBUG", logger="fedrelay.upper_level"):
         report = solve_stackelberg(paper9_scenario(7), order_check=False)

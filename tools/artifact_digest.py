@@ -1,8 +1,9 @@
 """Digest the artifacts of a fixed set of CLI runs, to compare two checkouts.
 
 Runs 48 `fedrelay` command lines in-process and hashes, per run, the exit
-code, stdout and, for a run with `--out`, every file written to the
-output directory. It prints one line per run and a total; two checkouts
+code, stdout, stderr with the log records in the CLI's `basicConfig`
+format, and, for a run with `--out`, every file written to the output
+directory. It prints one line per run and a total; two checkouts
 whose totals match produce byte-identical artifacts. The temporary
 directory is masked wherever it appears, so the output depends only on
 the code under test:
@@ -19,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -79,12 +81,23 @@ def command_lines(tmp: Path) -> list[list[str]]:
 
 
 def run_digest(argv: list[str], tmp: Path) -> tuple[str, int]:
-    """sha256 of one run's exit code, stdout and any artifacts, and the exit code."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        rc = main(argv)
+    """sha256 of one run's exit code, stdout, stderr and any artifacts, and
+    the exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # a root handler of its own, so the CLI's basicConfig adds none
+    handler = logging.StreamHandler(stderr)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+    finally:
+        root.removeHandler(handler)
     h = hashlib.sha256(f"rc={rc}\n".encode())
     h.update(stdout.getvalue().replace(str(tmp), MASK).encode())
+    h.update(b"\nstderr\n")
+    h.update(stderr.getvalue().replace(str(tmp), MASK).encode())
     if "--out" in argv:
         out_dir = Path(argv[argv.index("--out") + 1])
         for path in sorted(out_dir.iterdir()):
