@@ -18,7 +18,6 @@ import dataclasses
 import io
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ class RunConfig:
     seed: int | None = None
     out_dir: str | None = None
     fmt: str = "table"
-    eps_nash: float = 1e-6
     m_schedule: tuple[float, ...] = PenaltyConfig.m_schedule
     max_iter: int = 100
     power_grid: int = 50
@@ -78,8 +76,6 @@ class RunConfig:
             raise ScenarioError(f"--power-grid must be at most {sys.float_info.max:g}")
         if self.max_iter < 1:
             raise ScenarioError(f"--max-iter must be >= 1, got {self.max_iter}")
-        if not (math.isfinite(self.eps_nash) and self.eps_nash >= 0):
-            raise ScenarioError(f"--eps-nash must be finite and >= 0, got {self.eps_nash}")
         try:
             self.penalty()
         except ValueError as exc:
@@ -98,15 +94,16 @@ class RunConfig:
     def solve(self, scen: Scenario, order_check: bool = True) -> EquilibriumReport:
         """`solve_stackelberg` of `scen` with these settings."""
         return solve_stackelberg(
-            scen, self.penalty(), eps_nash=self.eps_nash, max_iter=self.max_iter,
-            power_grid=self.power_grid, order_check=order_check,
+            scen, self.penalty(), max_iter=self.max_iter, power_grid=self.power_grid,
+            order_check=order_check,
         )
 
     def to_dict(self) -> dict:
-        """The settings a report depends on: every field but the output ones."""
+        """The settings a report depends on: every field but the output ones,
+        and the Nash tolerance."""
         data = dataclasses.asdict(self)
         del data["out_dir"], data["fmt"]
-        return data
+        return data | {"eps_nash": PenaltyConfig.eps_nash}
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -258,9 +255,10 @@ def cmd_sweep(cfg: RunConfig, param: str, values: tuple[float, ...]) -> int:
     return 0 if all(r[2] for r in rows) else 3
 
 
-def _add_common(parser: argparse.ArgumentParser, with_out: bool) -> None:
-    """The RunConfig settings; each dest is its RunConfig field, and an
-    omitted flag leaves the field at its RunConfig default."""
+def _add_common(parser: argparse.ArgumentParser, solves: bool) -> None:
+    """The RunConfig settings a subcommand reads, the solver ones only if it
+    solves; each dest is its RunConfig field, and an omitted flag leaves the
+    field at its RunConfig default."""
     parser.add_argument(
         "--scenario", dest="scenario_path", metavar="SCENARIO", help="path to a scenario config file"
     )
@@ -269,18 +267,17 @@ def _add_common(parser: argparse.ArgumentParser, with_out: bool) -> None:
         "--random", dest="random_n", type=int, metavar="N", help="random scenario with N devices"
     )
     parser.add_argument("--seed", type=int, help="seed for preset/random positions")
-    parser.add_argument("--eps-nash", type=float)
+    if not solves:
+        return
     parser.add_argument("--m-schedule", help="comma-separated penalty coefficients")
     parser.add_argument("--max-iter", type=int)
     parser.add_argument(
         "--power-grid", type=int, metavar="N",
         help=f"direct-link transmit power floor is p_max / N (default {RunConfig.power_grid})",
     )
-    if with_out:
-        parser.add_argument(
-            "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
-        )
-        parser.add_argument("--format", dest="fmt", choices=("csv", "json", "table"))
+    parser.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
 
 
 def _floats(text: str, flag: str) -> tuple[float, ...]:
@@ -294,7 +291,8 @@ def _floats(text: str, flag: str) -> tuple[float, ...]:
 def _run_config(args: argparse.Namespace) -> RunConfig:
     settings = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     # an empty --m-schedule, like an omitted one, keeps the default
-    settings["m_schedule"] = _floats(args.m_schedule, "--m-schedule") if args.m_schedule else None
+    schedule = settings["m_schedule"]
+    settings["m_schedule"] = _floats(schedule, "--m-schedule") if schedule else None
     return RunConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
@@ -307,15 +305,16 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser("validate", help="check a scenario (and optional routing/profile)")
-    _add_common(p_validate, with_out=False)
+    _add_common(p_validate, solves=False)
     p_validate.add_argument("--routing", help="JSON next-hop map to check structurally")
     p_validate.add_argument("--profile", help="JSON strategy profile to check fully")
 
     p_solve = sub.add_parser("solve", help="solve for the equilibrium and write artifacts")
-    _add_common(p_solve, with_out=True)
+    _add_common(p_solve, solves=True)
+    p_solve.add_argument("--format", dest="fmt", choices=("csv", "json", "table"))
 
     p_sweep = sub.add_parser("sweep", help="solve across a grid of one global parameter")
-    _add_common(p_sweep, with_out=True)
+    _add_common(p_sweep, solves=True)
     p_sweep.add_argument("--param", required=True, help=f"one of {SWEEPABLE}")
     p_sweep.add_argument("--values", required=True, help="comma-separated grid (may be empty)")
     p_sweep.add_argument(

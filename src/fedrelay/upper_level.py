@@ -61,10 +61,12 @@ class PenaltyConfig:
 
     m_schedule: strictly increasing, finite, positive penalty coefficients.
     eps_feas: slack allowed when declaring a constraint satisfied (a constant).
+    eps_nash: largest unilateral gain of a converged solve (a constant).
     """
 
     m_schedule: tuple[float, ...] = DEFAULT_M_SCHEDULE
     eps_feas: ClassVar[float] = 1e-9
+    eps_nash: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         ms = tuple(float(m) for m in self.m_schedule)
@@ -608,7 +610,6 @@ def unilateral_gains(
 def solve_stackelberg(
     scen: Scenario,
     cfg: PenaltyConfig | None = None,
-    eps_nash: float = 1e-6,
     max_iter: int = 100,
     power_grid: int = 50,
     order_check: bool = True,
@@ -650,7 +651,7 @@ def solve_stackelberg(
         rates=rates,
         profits=profits,
         owner_utility=lower_level.owner_utility(demand, profile.prices, scen),
-        converged=stable and gain <= eps_nash and feas,
+        converged=stable and gain <= cfg.eps_nash and feas,
         iterations=rounds,
         max_unilateral_gain=gain,
         feasible=feas,

@@ -799,9 +799,6 @@ def test_validate_rejects_malformed_routing(tmp_path, capsys, adj, message):
         (["--m-schedule", ","], "nonempty"),
         (["--max-iter", "0"], "--max-iter"),
         (["--max-iter", "-3"], "--max-iter"),
-        (["--eps-nash", "nan"], "--eps-nash"),
-        (["--eps-nash=-1e-6"], "--eps-nash"),
-        (["--eps-nash", "inf"], "--eps-nash"),
     ],
 )
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags, message):
