@@ -29,7 +29,6 @@ from . import lower_level, radio, routing
 from .scenario import (
     Scenario,
     ScenarioError,
-    load_scenario,
     paper9_scenario,
     random_scenario,
     scenario_from_dict,
@@ -83,7 +82,7 @@ class RunConfig:
 
     def scenario(self) -> Scenario:
         if self.scenario_path is not None:
-            return load_scenario(self.scenario_path)
+            return scenario_from_dict(_read_json("--scenario", self.scenario_path))
         if self.preset is not None:
             return PRESETS[self.preset](self.seed)
         return random_scenario(self.random_n, self.seed)
@@ -99,11 +98,19 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        """The settings a report depends on: every field but the output ones,
-        and the Nash tolerance."""
+        """The settings a report depends on: all but the output fields, and the Nash tolerance."""
         data = dataclasses.asdict(self)
         del data["out_dir"], data["fmt"]
         return data | {"eps_nash": PenaltyConfig.eps_nash}
+
+
+def _read_json(flag: str, path: str):
+    """The JSON in the file passed as `flag`; an unreadable or non-JSON file is a ScenarioError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: a JSON syntax error, or bytes that are not text
+        raise ScenarioError(f"{flag} {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _atomic_write(path: Path, data: str) -> None:
@@ -183,12 +190,12 @@ def _print_table(report: EquilibriumReport) -> None:
 
 
 def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | None) -> int:
+    """Check the scenario, then any routing and profile; print the report after the last check."""
     scen = cfg.scenario()
-    print(f"scenario OK: {scen.n_devices} devices")
+    report = [f"scenario OK: {scen.n_devices} devices"]
     ok = True
     if routing_path is not None:
-        with open(routing_path) as fh:
-            adj = json.load(fh)
+        adj = _read_json("--routing", routing_path)
         try:
             targets = routing.adjacency_to_targets(adj, scen.n_devices)
         except (AttributeError, TypeError, ValueError) as exc:
@@ -199,12 +206,10 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             "ap_connected": routing.check_ap_connected(I),
             "chains_terminate": routing.check_acyclic_reach(I),
         }
-        for name, passed in checks.items():
-            print(f"routing {name}: {'ok' if passed else 'VIOLATED'}")
+        report += [f"routing {name}: {'ok' if passed else 'VIOLATED'}" for name, passed in checks.items()]
         ok = ok and all(checks.values())
     if profile_path is not None:
-        with open(profile_path) as fh:
-            raw = json.load(fh)
+        raw = _read_json("--profile", profile_path)
         try:
             profile = StrategyProfile(raw["prices"], raw["targets"], raw["powers"])
             profile.check_fits(scen)
@@ -214,10 +219,9 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
-        print(f"profile feasible: {feas}")
-        for v in violations:
-            print(f"  violation: {v}")
+        report += [f"profile feasible: {feas}"] + [f"  violation: {v}" for v in violations]
         ok = ok and feas
+    print("\n".join(report))
     return 0 if ok else 2
 
 
@@ -236,9 +240,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def sweep_rows(scen: Scenario, param: str, value: float, cfg: RunConfig) -> list[tuple]:
     report = cfg.solve(dataclasses.replace(scen, **{param: value}), order_check=False)
-    return [
-        (param, value, report.converged) + row for row in equilibrium_rows(report)
-    ]
+    return [(param, value, report.converged) + row for row in equilibrium_rows(report)]
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: tuple[float, ...]) -> int:
@@ -275,9 +277,7 @@ def _add_common(parser: argparse.ArgumentParser, solves: bool) -> None:
         "--power-grid", type=int, metavar="N",
         help=f"direct-link transmit power floor is p_max / N (default {RunConfig.power_grid})",
     )
-    parser.add_argument(
-        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
-    )
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
 
 
 def _floats(text: str, flag: str) -> tuple[float, ...]:
@@ -334,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         return cmd_sweep(cfg, args.param, _floats(args.values, "--values"))
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 

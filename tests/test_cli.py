@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -34,6 +35,7 @@ from fedrelay.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from fedrelay.upper_level import PenaltyConfig
 from support import make_device, make_scenario
 
 
@@ -806,6 +808,76 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags, message):
     assert main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out)] + flags) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+PAPER9 = ["--preset", "paper9", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", *PAPER9, "--eps-nash", "1e-6"],
+        ["validate", *PAPER9, "--m-schedule", "10,100"],
+        ["validate", *PAPER9, "--max-iter", "5"],
+        ["validate", *PAPER9, "--power-grid", "50"],
+        ["solve", *PAPER9, "--eps-nash", "1e-6"],
+        ["sweep", *PAPER9, "--param", "I_d", "--values", "0.1", "--format", "csv"],
+        ["sweep", *PAPER9, "--param", "I_d", "--values", "0.1", "--eps-nash", "1e-6"],
+    ],
+    ids=["validate_eps_nash", "validate_m_schedule", "validate_max_iter", "validate_power_grid",
+         "solve_eps_nash", "sweep_format", "sweep_eps_nash"],
+)
+def test_parser_rejects_flags_the_subcommand_does_not_read(tmp_path, capsys, argv):
+    unread = " ".join(argv[-2:])
+    out = tmp_path / "run"
+    if argv[0] != "validate":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: fedrelay")
+    assert error == f"fedrelay: error: unrecognized arguments: {unread}"
+    assert not out.exists()
+
+
+def test_frozen_benchmark_copies_of_the_defaults():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.EPS_NASH == PenaltyConfig.eps_nash
+    assert checks.POWER_GRID == RunConfig.power_grid
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--routing", "--profile"])
+def test_validate_json_syntax_error_names_flag_and_file(tmp_path, capsys, flag):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    source = [] if flag == "--scenario" else PAPER9
+    assert main(["validate", *source, flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid config: {flag} {path}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_validate_scenario_that_is_not_text_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: --scenario {path}: ") and "codec can't decode" in err
+    assert err.count("\n") == 1
+
+
+def test_validate_prints_nothing_before_exit_2(tmp_path, capsys):
+    # device 1 relays to device 2 at a power whose rate rounds to 0
+    stalled = {"prices": [10.0] * 9, "targets": [1] + [9] * 8, "powers": [1e-300] + [1.0] * 8}
+    path = _write_json(tmp_path, "stalled.json", stalled)
+    assert main(["validate", *PAPER9, "--profile", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid config:") and "no positive transmission rate" in err
 
 
 def test_sweep_rejects_non_numeric_values(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Digest the artifacts of a fixed set of CLI runs, to compare two checkouts.
 
-Runs 48 `fedrelay` command lines in-process and hashes, per run, the exit
+Runs 51 `fedrelay` command lines in-process and hashes, per run, the exit
 code, stdout, stderr with the log records in the CLI's `basicConfig`
 format, and, for a run with `--out`, every file written to the output
 directory. It prints one line per run and a total; two checkouts
@@ -37,7 +37,7 @@ MASK = "<tmp>"
 def command_lines(tmp: Path) -> list[list[str]]:
     """The runs: solves and sweeps, each writing to its own directory under
     `tmp`, then validations, which write nothing, a one-device solve and
-    one more validation."""
+    four more validations."""
     runs: list[list[str]] = []
     runs += [["solve", "--preset", "paper9", "--seed", str(s)] for s in range(12)]
     runs += [
@@ -69,6 +69,8 @@ def command_lines(tmp: Path) -> list[list[str]]:
     stalled.write_text(
         json.dumps({"prices": [10.0] * 9, "targets": [1] + [9] * 8, "powers": [1e-300] + [1.0] * 8})
     )
+    not_json = tmp / "not-json.json"
+    not_json.write_text("not json")
     runs += [
         ["validate", "--preset", "paper9", "--seed", "7"],
         ["validate", "--random", "3", "--seed", "5", "--routing", str(cyclic)],
@@ -76,6 +78,10 @@ def command_lines(tmp: Path) -> list[list[str]]:
         ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(relay)],
         ["solve", "--random", "1", "--seed", "0", "--out", str(tmp / f"run-{len(runs)}")],
         ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(stalled)],
+        # a JSON syntax error through each file flag: exit 2
+        ["validate", "--scenario", str(not_json)],
+        ["validate", "--preset", "paper9", "--seed", "7", "--routing", str(not_json)],
+        ["validate", "--preset", "paper9", "--seed", "7", "--profile", str(not_json)],
     ]
     return runs
 
