@@ -240,7 +240,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def sweep_rows(scen: Scenario, param: str, value: float, cfg: RunConfig) -> list[tuple]:
     report = cfg.solve(dataclasses.replace(scen, **{param: value}), order_check=False)
-    return [(param, value, report.converged) + row for row in equilibrium_rows(report)]
+    return [
+        (param, value, report.converged) + row for row in equilibrium_rows(report)
+    ]
 
 
 def cmd_sweep(cfg: RunConfig, param: str, values: tuple[float, ...]) -> int:

@@ -850,24 +850,25 @@ def test_frozen_benchmark_copies_of_the_defaults():
     assert checks.POWER_GRID == RunConfig.power_grid
 
 
-@pytest.mark.parametrize("flag", ["--scenario", "--routing", "--profile"])
-def test_validate_json_syntax_error_names_flag_and_file(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [
+        ("--scenario", b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("--routing", b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("--profile", b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("--scenario", b"\xff\xfe", "codec can't decode byte 0xff in position 0"),
+    ],
+    ids=["scenario", "routing", "profile", "scenario_not_text"],
+)
+def test_validate_unreadable_json_names_flag_and_file(tmp_path, capsys, flag, content, message):
     path = tmp_path / "bad.json"
-    path.write_text("not json")
+    path.write_bytes(content)
     source = [] if flag == "--scenario" else PAPER9
     assert main(["validate", *source, flag, str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"invalid config: {flag} {path}: Expecting value: line 1 column 1 (char 0)\n"
-
-
-def test_validate_scenario_that_is_not_text_exit_2(tmp_path, capsys):
-    path = tmp_path / "binary.json"
-    path.write_bytes(b"\xff\xfe")
-    assert main(["validate", "--scenario", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"invalid config: --scenario {path}: ") and "codec can't decode" in err
-    assert err.count("\n") == 1
+    assert err.startswith(f"invalid config: {flag} {path}: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_validate_prints_nothing_before_exit_2(tmp_path, capsys):
