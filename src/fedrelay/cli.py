@@ -90,12 +90,9 @@ class RunConfig:
     def penalty(self) -> PenaltyConfig:
         return PenaltyConfig(m_schedule=self.m_schedule)
 
-    def solve(self, scen: Scenario, order_check: bool = True) -> EquilibriumReport:
+    def solve(self, scen: Scenario) -> EquilibriumReport:
         """`solve_stackelberg` of `scen` with these settings."""
-        return solve_stackelberg(
-            scen, self.penalty(), max_iter=self.max_iter, power_grid=self.power_grid,
-            order_check=order_check,
-        )
+        return solve_stackelberg(scen, self.penalty(), max_iter=self.max_iter, power_grid=self.power_grid)
 
     def to_dict(self) -> dict:
         """The settings a report depends on: all but the output fields, and the Nash tolerance."""
@@ -185,7 +182,7 @@ def _print_table(report: EquilibriumReport) -> None:
     print(
         f"owner_utility={report.owner_utility:.6f} converged={report.converged}"
         f" iterations={report.iterations} max_unilateral_gain={report.max_unilateral_gain:.3g}"
-        f" feasible={report.feasible} order_robust={report.order_robust}"
+        f" feasible={report.feasible}"
     )
 
 
@@ -239,7 +236,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def sweep_rows(scen: Scenario, param: str, value: float, cfg: RunConfig) -> list[tuple]:
-    report = cfg.solve(dataclasses.replace(scen, **{param: value}), order_check=False)
+    report = cfg.solve(dataclasses.replace(scen, **{param: value}))
     return [
         (param, value, report.converged) + row for row in equilibrium_rows(report)
     ]

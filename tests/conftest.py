@@ -15,7 +15,7 @@ def paper9_scen():
 
 @pytest.fixture(scope="session")
 def paper9_report(paper9_scen):
-    return solve_stackelberg(paper9_scen, order_check=False)
+    return solve_stackelberg(paper9_scen)
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,15 @@ function or by boolean matrix powers. The round-robin and certificate
 oracles rebuild every best response from scratch. The profile scorers
 `device_profit`, `reduced_profit` and `penalized_profit` score a whole
 profile through the certificate's `_profit_terms` and `_value`, for the
-tests that hold the dynamics against exhaustive scans.
+tests that hold the dynamics against exhaustive scans. The enumerator
+`pure_equilibria` lists every pure equilibrium of a small scenario, the
+ground truth a solve's profile must belong to.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -309,12 +313,22 @@ def fresh_best_response(i, profile, demand, scen, M: float, power_grid: int = 50
     return _Run(profile, demand, scen, power_grid).best(i, M)
 
 
-def settled_run(scen, cfg, max_iter: int, order: str, power_grid: int = 50):
+def reversed_devices(scen) -> Scenario:
+    """A copy of `scen` with its devices in reverse index order and the
+    access point last, so the dynamics on the copy visit the devices of
+    `scen` in reverse order."""
+    perm = list(range(scen.n_devices - 1, -1, -1)) + [scen.ap]
+    return dataclasses.replace(
+        scen, devices=scen.devices[::-1], positions=scen.positions[perm], h=scen.h[np.ix_(perm, perm)]
+    )
+
+
+def settled_run(scen, cfg, max_iter: int, power_grid: int = 50):
     """`_Run.settle` from `default_init`: profile, demand, rounds, stable."""
     start = default_init(scen, power_grid)
     demand = lower_level.best_response_demand(start.prices, scen)
     run = _Run(start, demand, scen, power_grid)
-    rounds, stable = run.settle(cfg.m_schedule, max_iter, order)
+    rounds, stable = run.settle(cfg.m_schedule, max_iter)
     return run.profile(), demand, rounds, stable
 
 
@@ -429,3 +443,52 @@ def value(run, i: int, j: int, p: float, M: float) -> tuple[float, float]:
     profit, late_sq = terms
     rho = rho_base(run, i, j) - late_sq
     return profit + M * rho, rho
+
+
+def least_deadline_powers(targets, demand, scen, start, power_grid: int = 50) -> list[float]:
+    """Powers of the next-hop plan `targets`: the power floor on a direct
+    link, and on relay links the least fixed point of the map that gives
+    every relayed device its `deadline_power` (capped at p_max) against
+    the others' powers, iterated up from powers too small to interfere."""
+    ap = scen.ap
+    floors = [d.p_max / power_grid for d in scen.devices]
+    powers = [floors[i] if t == ap else 5e-324 for i, t in enumerate(targets)]
+    for _ in range(1000):
+        run = _Run(StrategyProfile(start.prices, targets, powers), demand, scen, power_grid)
+        new = list(powers)
+        for i, t in enumerate(targets):
+            if t != ap:
+                run._catch_up(i)
+                new[i] = deadline_power(run, i, t)
+        if new == powers:
+            return powers
+        powers = new
+    raise AssertionError(f"deadline powers of plan {targets} did not settle")
+
+
+def pure_equilibria(scen, M: float = 1e8, power_grid: int = 50, rtol: float = 1e-9):
+    """Every pure equilibrium of the relay/power game at the `default_init`
+    prices and demand, by enumeration: each next-hop plan without
+    self-loops, at its `least_deadline_powers`, is kept when every
+    device's `fresh_best_response` at coefficient M is its own target and,
+    to `rtol` relative, its own power. Returns the kept profiles."""
+    start = default_init(scen, power_grid)
+    demand = lower_level.best_response_demand(start.prices, scen)
+    n, ap = scen.n_devices, scen.ap
+    found = []
+    for plan in itertools.product(*[[j for j in range(ap + 1) if j != i] for i in range(n)]):
+        targets = list(plan)
+        powers = least_deadline_powers(targets, demand, scen, start, power_grid)
+        profile = StrategyProfile(start.prices.copy(), targets, powers)
+        for i in range(n):
+            j, p = fresh_best_response(i, profile, demand, scen, M, power_grid)
+            if j != targets[i] or abs(p - powers[i]) > rtol * powers[i]:
+                break
+        else:
+            found.append(profile)
+    return found
+
+
+def same_links(a, b) -> bool:
+    """Equal targets, and powers within 1e-9 of each other."""
+    return np.array_equal(a.targets, b.targets) and np.allclose(a.powers, b.powers, rtol=0, atol=1e-9)

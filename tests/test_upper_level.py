@@ -44,8 +44,11 @@ from support import (
     make_scenario,
     penalized_profit,
     profit_oracle,
+    pure_equilibria,
     reduced_profit,
+    reversed_devices,
     round_robin_oracle,
+    same_links,
     settled_run,
     unilateral_gains_oracle,
     value,
@@ -106,7 +109,7 @@ def test_device_profit_matches_termwise_oracle(paper9_scen, paper9_report):
     # the report's profits; the relay-regime solve has 5 relay links, so
     # relay revenue and relay fees are scored too
     relay_scen = dataclasses.replace(random_scenario(9, 1, RELAY_SPEC), I_d=0.1)
-    relay_report = solve_stackelberg(relay_scen, order_check=False)
+    relay_report = solve_stackelberg(relay_scen)
     assert int((relay_report.targets != relay_scen.ap).sum()) == 5
     for scen, rep in ((paper9_scen, paper9_report), (relay_scen, relay_report)):
         want = [
@@ -537,7 +540,7 @@ def test_relay_br_requires_positive_powers():
 
 def test_dynamics_single_device_matches_exhaustive_oracle():
     scen = make_scenario([[3.0, 0.0], [0.0, 0.0]], c=12.0, b=10.0, c_p=0.01)
-    rep = solve_stackelberg(scen, order_check=False)
+    rep = solve_stackelberg(scen)
     assert rep.converged
     assert rep.targets[0] == 1
     assert rep.prices[0] == pytest.approx(price_best_response(0, scen), abs=1e-12)
@@ -557,14 +560,12 @@ def test_dynamics_single_device_matches_exhaustive_oracle():
 
 def test_dynamics_symmetric_devices_symmetric_equilibrium():
     scen = make_scenario([[-3.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
-    fwd = solve_stackelberg(scen, order_check=False)
-    rev, _, _, rev_stable = settled_run(scen, PenaltyConfig(), 100, "reverse")
+    fwd = solve_stackelberg(scen)
+    rev, _, _, rev_stable = round_robin_oracle(scen, PenaltyConfig(), 100, "reverse", 50)
     assert fwd.converged and rev_stable
     assert abs(fwd.prices[0] - fwd.prices[1]) <= 1e-6
     assert abs(fwd.powers[0] - fwd.powers[1]) <= 1e-9
-    assert np.array_equal(fwd.targets, rev.targets)
-    assert np.allclose(fwd.powers, rev.powers, rtol=0, atol=1e-9)
-    assert solve_stackelberg(scen).order_robust is True
+    assert same_links(fwd, rev)
 
 
 def test_dynamics_reaches_relay_equilibrium():
@@ -573,12 +574,42 @@ def test_dynamics_reaches_relay_equilibrium():
     assert rep.converged
     assert rep.feasible
     assert list(rep.targets) == [1, 2]  # 0 relays through 1, 1 direct
-    assert rep.order_robust is True
+    assert same_links(rep, round_robin_oracle(scen, PenaltyConfig(), 100, "reverse", 50)[0])
     assert rep.max_unilateral_gain <= 1e-6
     # relay computes on more data than its child at equilibrium prices
     assert rep.demand[1] > rep.demand[0]
     I = routing.plan_to_indicator(rep.targets, scen.n_nodes)
     assert routing.check_timing(I, rep.demand, rep.rates, scen, tol=1e-9).all()
+
+
+# pure equilibria of random_scenario(4, seed, RELAY_SPEC) at I_d = 0.1, by enumeration
+EQUILIBRIUM_COUNTS = {0: 1, 1: 1, 2: 1, 3: 1, 9: 2, 10: 2, 21: 3}
+
+
+@pytest.mark.parametrize("seed", sorted(EQUILIBRIUM_COUNTS))
+def test_solve_settles_on_an_enumerated_equilibrium(seed):
+    scen = dataclasses.replace(random_scenario(4, seed, RELAY_SPEC), I_d=0.1)
+    equilibria = pure_equilibria(scen)
+    assert len(equilibria) == EQUILIBRIUM_COUNTS[seed]
+    rep = solve_stackelberg(scen)
+    assert rep.converged
+    assert [e for e in equilibria if same_links(rep, e)]
+
+
+def test_update_order_picks_between_enumerated_equilibria():
+    scen = dataclasses.replace(random_scenario(4, 9, RELAY_SPEC), I_d=0.1)
+    first, second = pure_equilibria(scen)
+    fwd = solve_stackelberg(scen)
+    rev, _, _, rev_stable = round_robin_oracle(scen, PenaltyConfig(), 100, "reverse", 50)
+    assert fwd.converged and rev_stable
+    assert same_links(fwd, first) and not same_links(fwd, second)
+    assert same_links(rev, second) and not same_links(rev, first)
+
+
+def test_no_enumerated_equilibrium_no_convergence():
+    scen = dataclasses.replace(random_scenario(4, 9, RELAY_SPEC), I_d=0.05)
+    assert pure_equilibria(scen) == []
+    assert solve_stackelberg(scen).converged is False
 
 
 def test_dynamics_on_benchmark(paper9_scen, paper9_report):
@@ -602,7 +633,7 @@ def test_dynamics_on_benchmark(paper9_scen, paper9_report):
 
 # Equilibria recorded before the O(1) candidate evaluation replaced the
 # matrix-form scoring of every candidate; the dynamics must not move.
-# Certificates (max_unilateral_gain, feasible, violations, order_robust)
+# Certificates (max_unilateral_gain, feasible, violations)
 # recorded before the deadline, reachability and structural checks were
 # each folded into one implementation.
 PINNED = {
@@ -631,9 +662,9 @@ PINNED = {
 
 
 PINNED_CERTIFICATES = {
-    "paper9_seed7": (0.0, True, [], True),
-    "random6_seed1": (0.0, True, [], None),
-    "relay9_seed1_Id0.1": (0.000853760253960445, True, [], None),
+    "paper9_seed7": (0.0, True, []),
+    "random6_seed1": (0.0, True, []),
+    "relay9_seed1_Id0.1": (0.000853760253960445, True, []),
 }
 
 
@@ -642,20 +673,21 @@ def test_equilibrium_regression(name):
     if name == "paper9_seed7":
         rep = solve_stackelberg(paper9_scenario(7))
     elif name == "random6_seed1":
-        rep = solve_stackelberg(random_scenario(6, seed=1), order_check=False)
+        rep = solve_stackelberg(random_scenario(6, seed=1))
     else:
         scen = dataclasses.replace(random_scenario(9, seed=1, spec=RELAY_SPEC), I_d=0.1)
-        rep = solve_stackelberg(scen, max_iter=1, order_check=False)
+        rep = solve_stackelberg(scen, max_iter=1)
     targets, iterations, prices, powers = PINNED[name]
     assert rep.targets.tolist() == targets
     assert rep.iterations == iterations
     np.testing.assert_allclose(rep.prices, prices, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rep.powers, powers, rtol=1e-12, atol=0)
-    gain, feasible, violations, order_robust = PINNED_CERTIFICATES[name]
+    gain, feasible, violations = PINNED_CERTIFICATES[name]
     assert rep.max_unilateral_gain == pytest.approx(gain, rel=1e-9, abs=1e-15)
     assert rep.feasible is feasible
     assert rep.violations == violations
-    assert rep.order_robust is order_robust
+    if name == "paper9_seed7":  # the reverse device order reaches the same profile
+        assert same_links(rep, round_robin_oracle(paper9_scenario(7), PenaltyConfig(), 100, "reverse", 50)[0])
 
 
 def test_dynamics_backward_consistency_and_rationality(paper9_scen, paper9_report):
@@ -674,7 +706,7 @@ def test_epsilon_nash_certificate_scan():
     # alternatives drawn from dense prices and the solver's power grid,
     # plus the deadline-matching powers the solver itself would pick
     scen = relayable_scenario()
-    rep = solve_stackelberg(scen, order_check=False)
+    rep = solve_stackelberg(scen)
     assert rep.converged
     profile = copy_profile(rep)
     q_lo = price_floor(scen)
@@ -698,7 +730,7 @@ def test_epsilon_nash_certificate_scan():
 
 def test_unilateral_gains_zero_at_fixed_point():
     scen = relayable_scenario()
-    rep = solve_stackelberg(scen, order_check=False)
+    rep = solve_stackelberg(scen)
     gains = unilateral_gains(copy_profile(rep), scen, M_FINAL)
     assert np.all(gains <= 1e-12)
 
@@ -733,7 +765,7 @@ def test_solve_certificate_equals_fresh_oracle(monkeypatch):
     positive = 0
     for label, scen, max_iter in certificate_runs():
         seen.clear()
-        rep = solve_stackelberg(scen, max_iter=max_iter, order_check=False)
+        rep = solve_stackelberg(scen, max_iter=max_iter)
         [(run, gains)] = seen
         want = unilateral_gains_oracle(copy_profile(rep), scen, M_FINAL)
         assert run.targets == rep.targets.tolist() and run.powers == rep.powers.tolist(), label
@@ -778,7 +810,7 @@ def test_certificate_reuses_run_contexts(monkeypatch):
     monkeypatch.setattr(_Run, "_gains", gains)
     monkeypatch.setattr(upper_level, "_value", value)
     monkeypatch.setattr(radio, "min_power_for_rate", min_power)
-    rep = solve_stackelberg(paper9_scenario(7), order_check=False)
+    rep = solve_stackelberg(paper9_scenario(7))
     assert rep.converged and rep.max_unilateral_gain == 0.0
     # the last round moved nothing, so every best response is the current
     # strategy, ranked from the links each device scored on its last turn
@@ -787,7 +819,7 @@ def test_certificate_reuses_run_contexts(monkeypatch):
 
 def test_nonconvergence_is_reported_not_raised():
     scen = relayable_scenario()
-    rep = solve_stackelberg(scen, max_iter=0, order_check=False)
+    rep = solve_stackelberg(scen, max_iter=0)
     assert rep.converged is False
     assert rep.iterations == 0
     assert len(rep.prices) == 2
@@ -827,28 +859,30 @@ def test_strategy_profile_validation():
 
 
 def exactness_runs():
-    """(label, scenario, max_iter, order) runs of the dynamics: paper9 seeds
-    0-11 in both orders; random instances with n = 2..16 under both specs
-    at max_iter 1 and 8, mostly in both orders, and at max_iter 100 in one;
-    and a relay-spec instance that cycles through all 100 rounds of its
-    stages. Relay-spec runs with n > 12 are the slowest for the oracle, so
-    they run fewer times."""
-    runs = [
-        (f"paper9 seed {s}", paper9_scenario(s), 100, order)
-        for s in range(12) for order in ("forward", "reverse")
-    ]
+    """(label, scenario, max_iter) runs of the dynamics: paper9 seeds 0-11
+    and their device-reversed copies; random instances with n = 2..16
+    under both specs at max_iter 1 and 8, mostly also reversed, and at
+    max_iter 100 as given or reversed; and a relay-spec instance that
+    cycles through all 100 rounds of its stages. The forward dynamics on
+    a `reversed_devices` copy update the devices of the original in
+    reverse order. Relay-spec runs with n > 12 are the slowest for the
+    oracle, so they run fewer times."""
+    runs = []
+    for s in range(12):
+        scen = paper9_scenario(s)
+        runs += [(f"paper9 seed {s}", scen, 100), (f"paper9 seed {s} reversed", reversed_devices(scen), 100)]
     for n in range(2, 17):
         for label, spec in (("default", RandomSpec()), ("relay", RELAY_SPEC)):
             scen = random_scenario(n, seed=n, spec=spec)
+            flipped = reversed_devices(scen)
             slow = label == "relay" and n > 12
-            runs += [
-                (f"{label} n={n}", scen, max_iter, order)
-                for max_iter in (1, 8) for order in ("forward", "reverse")
-                if not (slow and max_iter == 8 and order == "reverse")
-            ]
+            for max_iter in (1, 8):
+                runs.append((f"{label} n={n}", scen, max_iter))
+                if not (slow and max_iter == 8):
+                    runs.append((f"{label} n={n} reversed", flipped, max_iter))
             if not slow:
-                runs.append((f"{label} n={n}", scen, 100, ("forward", "reverse")[n % 2]))
-    runs.append(("relay n=6 seed 1", random_scenario(6, seed=1, spec=RELAY_SPEC), 100, "forward"))
+                runs.append((f"{label} n={n}" + ("", " reversed")[n % 2], (scen, flipped)[n % 2], 100))
+    runs.append(("relay n=6 seed 1", random_scenario(6, seed=1, spec=RELAY_SPEC), 100))
     return runs
 
 
@@ -856,10 +890,10 @@ def test_round_robin_equals_fresh_best_response_oracle():
     cfg = PenaltyConfig()
     runs = exactness_runs()
     cycled = 0
-    for label, scen, max_iter, order in runs:
-        got = settled_run(scen, cfg, max_iter, order, 50)
-        want = round_robin_oracle(scen, cfg, max_iter, order, 50)
-        where = (label, max_iter, order)
+    for label, scen, max_iter in runs:
+        got = settled_run(scen, cfg, max_iter, 50)
+        want = round_robin_oracle(scen, cfg, max_iter, "forward", 50)
+        where = (label, max_iter)
         assert np.array_equal(got[0].targets, want[0].targets), where
         assert np.array_equal(got[0].powers, want[0].powers), where
         assert np.array_equal(got[1], want[1]), where
@@ -983,7 +1017,7 @@ def test_solve_solves_each_price_once(monkeypatch):
 
     monkeypatch.setattr(upper_level, "price_best_response", counted)
     solve_stackelberg(paper9_scenario(7))
-    # the certificate and the reverse run take the forward run's start prices
+    # the certificate takes the run's start prices
     assert calls == 9
 
 
@@ -1025,7 +1059,7 @@ def test_relay_br_drops_relay_links_whose_deadline_power_rounds_to_0():
 
 def test_round_robin_logs_one_debug_record_per_round(caplog):
     with caplog.at_level("DEBUG", logger="fedrelay.upper_level"):
-        report = solve_stackelberg(paper9_scenario(7), order_check=False)
+        report = solve_stackelberg(paper9_scenario(7))
     rounds = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
     assert len(rounds) == report.iterations
     assert all("round" in m and "of 9 devices changed" in m for m in rounds)

@@ -1,10 +1,10 @@
 """Time `solve_stackelberg` end to end on the ROADMAP's solve instances.
 
 Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and
-320 with the default settings (order check and certificate included), and
-runs a 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
-`random_scenario(9, 0, RELAY_SPEC)`, solved as `fedrelay sweep` does,
-without the order check. It also times `cli.write_solve_artifacts`
+320 with the default settings (certificate included), and runs a
+4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
+`random_scenario(9, 0, RELAY_SPEC)`, each point solved by
+`cli.sweep_rows` as `fedrelay sweep` solves it. It also times `cli.write_solve_artifacts`
 alone, writing paper9 seed 7's artifacts from a solve made before the
 timer starts. Each instance runs until it has at least 3 samples and
 2 s of CPU time (`time.process_time`) in total, so a millisecond
@@ -23,7 +23,6 @@ such pairs.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -38,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 import fedrelay
-from fedrelay.cli import RunConfig, write_solve_artifacts
+from fedrelay.cli import RunConfig, sweep_rows, write_solve_artifacts
 from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
 from fedrelay.upper_level import solve_stackelberg
 
@@ -56,11 +55,26 @@ def solve(scen):
     return report.iterations, report.converged
 
 
+class SweepSettings(RunConfig):
+    """`fedrelay sweep`'s default solver settings, keeping the report of
+    every grid point that `sweep_rows` solves with them."""
+
+    reports: list = []
+
+    def solve(self, scen, **kwargs):
+        # kwargs: an older `sweep_rows` passes the option that skipped its reverse-order run
+        report = super().solve(scen, **kwargs)
+        self.reports.append(report)
+        return report
+
+
 def sweep(scen):
     """The I_d sweep over `scen`: (total rounds, all converged)."""
-    reports = [
-        solve_stackelberg(dataclasses.replace(scen, I_d=v), order_check=False) for v in SWEEP_I_D
-    ]
+    SweepSettings.reports.clear()
+    settings = SweepSettings(random_n=scen.n_devices, seed=0)
+    for v in SWEEP_I_D:
+        sweep_rows(scen, "I_d", v, settings)
+    reports = SweepSettings.reports
     return sum(r.iterations for r in reports), all(r.converged for r in reports)
 
 
