@@ -451,8 +451,7 @@ def least_deadline_powers(targets, demand, scen, start, power_grid: int = 50) ->
     every relayed device its `deadline_power` (capped at p_max) against
     the others' powers, iterated up from powers too small to interfere."""
     ap = scen.ap
-    floors = [d.p_max / power_grid for d in scen.devices]
-    powers = [floors[i] if t == ap else 5e-324 for i, t in enumerate(targets)]
+    powers = [d.p_max / power_grid if t == ap else 5e-324 for d, t in zip(scen.devices, targets)]
     for _ in range(1000):
         run = _Run(StrategyProfile(start.prices, targets, powers), demand, scen, power_grid)
         new = list(powers)

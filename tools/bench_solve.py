@@ -4,11 +4,11 @@ Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and
 320 with the default settings (certificate included), and runs a
 4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
 `random_scenario(9, 0, RELAY_SPEC)`, each point solved by
-`cli.sweep_rows` as `fedrelay sweep` solves it. It also times `cli.write_solve_artifacts`
-alone, writing paper9 seed 7's artifacts from a solve made before the
-timer starts. Each instance runs until it has at least 3 samples and
-2 s of CPU time (`time.process_time`) in total, so a millisecond
-instance gets hundreds of samples. Prints one JSON object: per instance
+`cli.sweep_rows` as `fedrelay sweep` solves it. It also times
+`cli.write_solve_artifacts` alone, writing paper9 seed 7's artifacts
+from a solve made before the timer starts. Each instance runs until it
+has at least 3 samples and 2 s of CPU time (`time.process_time`) in
+total, so a millisecond instance gets hundreds of samples. Prints one JSON object: per instance
 the median and the minimum CPU time and the sample count, the rounds
 (`iterations`, summed over a sweep's points), `converged` (all of a sweep's points) and the process's peak resident
 set size after the instance (`ru_maxrss`, so it never falls from one
@@ -71,6 +71,7 @@ class SweepSettings(RunConfig):
 def sweep(scen):
     """The I_d sweep over `scen`: (total rounds, all converged)."""
     SweepSettings.reports.clear()
+    # the source fields only pass RunConfig's check: sweep_rows takes the scenario itself
     settings = SweepSettings(random_n=scen.n_devices, seed=0)
     for v in SWEEP_I_D:
         sweep_rows(scen, "I_d", v, settings)
