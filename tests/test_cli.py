@@ -515,20 +515,14 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert report["report"]["converged"] is True
     assert report["config"]["seed"] == 7
     assert report["scenario"]["global"]["c_a"] == 0.0096
-
-
-def test_solve_reports_one_run(tmp_path, capsys):
     # the report describes the one run of the dynamics; no field or table
     # entry compares it with another update order
-    out = tmp_path / "run"
-    assert main(["solve", "--preset", "paper9", "--seed", "7", "--out", str(out)]) == 0
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last.startswith("owner_utility=") and last.endswith(" feasible=True")
-    report = json.loads((out / "report.json").read_text())["report"]
-    assert set(report) == {
+    assert set(report["report"]) == {
         "prices", "targets", "powers", "demand", "rates", "profits", "owner_utility",
         "converged", "iterations", "max_unilateral_gain", "feasible", "violations", "routing",
     }
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("owner_utility=") and last.endswith(" feasible=True")
 
 
 def test_solve_deterministic_bytes(tmp_path):
