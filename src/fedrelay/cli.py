@@ -96,24 +96,51 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The settings a report depends on: all but the output fields, and the Nash tolerance."""
-        data = dataclasses.asdict(self)
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         del data["out_dir"], data["fmt"]
         return data | {"eps_nash": PenaltyConfig.eps_nash}
 
 
-def _read_json(flag: str, path: str):
-    """The JSON in the file passed as `flag`; an unreadable or non-JSON file is a ScenarioError."""
+def _read_json(flag: str, path: str) -> dict:
+    """The JSON object in the file passed as `flag`; an unreadable file, or
+    one that does not hold a JSON object, is a ScenarioError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: a JSON syntax error, or bytes that are not text
         raise ScenarioError(f"{flag} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{flag} {path}: the file must hold a JSON object")
+    return data
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(data)
+def _profile_from_json(raw: dict) -> StrategyProfile:
+    """The profile of a --profile file: JSON numbers under "prices",
+    "targets" and "powers". Strings and booleans are rejected; numpy
+    would read them as numbers."""
+    columns = []
+    for key in ("prices", "targets", "powers"):
+        values = raw[key]
+        if not isinstance(values, list):
+            raise ValueError(f"{key} must be a list of numbers")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{key} must be a list of numbers, got {json.dumps(v)}")
+        columns.append(values)
+    return StrategyProfile(*columns)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write `text` as UTF-8 to a `.tmp` sibling of `path`, then rename it
+    onto `path`, so that no reader sees a partial artifact."""
+    tmp = f"{path}.tmp"
+    data = memoryview(text.encode())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
 
 
@@ -132,10 +159,12 @@ def _json_text(data: dict) -> str:
 def equilibrium_rows(report: EquilibriumReport) -> list[tuple]:
     """One row per device, in the order of EQUILIBRIUM_COLUMNS."""
     n = len(report.prices)
+    # Python numbers: the CSV writer's str() of a float is faster than of a numpy scalar
+    columns = zip(report.prices.tolist(), report.demand.tolist(), report.rates.tolist(),
+                  report.powers.tolist(), report.targets.tolist(), report.profits.tolist())
     return [
-        (i + 1, report.prices[i], report.demand[i], report.rates[i], report.powers[i],
-         routing.node_label(int(report.targets[i]), n), report.profits[i])
-        for i in range(n)
+        (i + 1, q, s, r, p, routing.node_label(t, n), profit)
+        for i, (q, s, r, p, t, profit) in enumerate(columns)
     ]
 
 
@@ -195,7 +224,7 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
         adj = _read_json("--routing", routing_path)
         try:
             targets = routing.adjacency_to_targets(adj, scen.n_devices)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"routing {routing_path}: {type(exc).__name__}: {exc}") from None
         I = routing.plan_to_indicator(targets, scen.n_nodes)
         checks = {
@@ -208,13 +237,13 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
     if profile_path is not None:
         raw = _read_json("--profile", profile_path)
         try:
-            profile = StrategyProfile(raw["prices"], raw["targets"], raw["powers"])
+            profile = _profile_from_json(raw)
             profile.check_fits(scen)
             demand = lower_level.best_response_demand(profile.prices, scen)
             rates = radio.transmission_rates(profile.targets, profile.powers, scen)
             I = profile.indicator()
             feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
         report += [f"profile feasible: {feas}"] + [f"  violation: {v}" for v in violations]
         ok = ok and feas

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,8 +105,8 @@ class DeviceParams:
 class Scenario:
     """Full problem instance: devices, geometry, and wireless constants.
 
-    `H`, the effective gain matrix, is built and checked at construction
-    and is read-only.
+    `H`, the effective gain matrix, and `q_floor`, the price floor, are
+    built and checked at construction; `H` is read-only.
     """
 
     devices: tuple[DeviceParams, ...]
@@ -145,9 +145,11 @@ class Scenario:
         # bounds the owner's utility, a sum of terms within [a_i - b_i, a_i]
         if not math.isfinite(sum(d.accuracy.a + d.accuracy.b for d in self.devices)):
             raise ScenarioError("accuracy coefficients overflow: the sum of a + b is not finite")
-        q_lo = price_floor(self)  # every device's price domain [q_lo, q_max] must not be empty
+        _, b, c = self.accuracy_coeffs()
+        q_lo = _price_floor(c * b)  # every device's price domain [q_lo, q_max] must not be empty
         if any(dev.q_max < q_lo for dev in self.devices):
             raise ScenarioError(f"device parameter q_max must be >= the price floor {q_lo:g}")
+        object.__setattr__(self, "q_floor", q_lo)
         d = _distance_matrix(self.positions)
         if np.any(d[off] == 0.0):
             raise ScenarioError("node positions must be pairwise distinct")
@@ -221,9 +223,9 @@ def _price_floor(cb: np.ndarray) -> float:
 
 
 def price_floor(scen: Scenario) -> float:
-    """Smallest admissible price: a fixed fraction of the cheapest c_i*b_i."""
-    _, b, c = scen.accuracy_coeffs()
-    return _price_floor(c * b)
+    """Smallest admissible price: a fixed fraction of the cheapest c_i*b_i,
+    computed once when `scen` is built."""
+    return scen.q_floor
 
 
 def build_channel_matrix(scen: Scenario) -> np.ndarray:
@@ -345,6 +347,14 @@ def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scena
 
 # the scalar wireless constants of the config file's "global" section, beside "h"
 _GLOBAL_KEYS = ("alpha", "sigma2", "I_d", "c_a")
+_DEVICE_KEYS = tuple(f.name for f in fields(DeviceParams) if f.name != "accuracy")
+
+
+def _device_to_dict(d: DeviceParams) -> dict:
+    """`dataclasses.asdict(d)`, without its recursive deep copy."""
+    data = {key: getattr(d, key) for key in _DEVICE_KEYS}
+    data["accuracy"] = {"a": d.accuracy.a, "b": d.accuracy.b, "c": d.accuracy.c}
+    return data
 
 
 def scenario_to_dict(scen: Scenario) -> dict:
@@ -353,7 +363,7 @@ def scenario_to_dict(scen: Scenario) -> dict:
     vals = scen.h[off]
     h: float | list = float(vals[0]) if np.all(vals == vals[0]) else scen.h.tolist()
     return {
-        "devices": [asdict(d) for d in scen.devices],
+        "devices": [_device_to_dict(d) for d in scen.devices],
         "positions": scen.positions.tolist(),
         "global": {**{key: getattr(scen, key) for key in _GLOBAL_KEYS}, "h": h},
     }

@@ -534,6 +534,44 @@ def test_solve_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+ARTIFACTS = ("routing.txt", "prices.csv", "demands.csv", "rates.csv",
+             "profits.csv", "equilibrium.csv", "report.json")
+
+
+def test_solve_into_fresh_dir_leaves_no_tmp_file(tmp_path):
+    out = tmp_path / "fresh" / "run"
+    assert main(["solve", *PAPER9, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+
+def test_second_solve_replaces_every_artifact_with_same_bytes(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", *PAPER9, "--out", str(out)]) == 0
+    first = tmp_path / "first"
+    first.mkdir()
+    for name in ARTIFACTS:
+        (first / name).hardlink_to(out / name)  # keeps the first run's file alive
+    assert main(["solve", *PAPER9, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+    for name in ARTIFACTS:
+        # a rename put a new file in place; the first one was not written over
+        assert not (out / name).samefile(first / name)
+        assert (out / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_solve_replaces_stale_artifacts(tmp_path):
+    fresh, out = tmp_path / "fresh", tmp_path / "stale"
+    assert main(["solve", *PAPER9, "--out", str(fresh)]) == 0
+    out.mkdir()
+    for name in ARTIFACTS:
+        (out / name).write_text("stale " * 2000)  # longer than any artifact
+        (out / f"{name}.tmp").write_text("left by an interrupted run " * 2000)
+    assert main(["solve", *PAPER9, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_solve_scenario_file_relay_topology(tmp_path):
     _, path = relayable_scenario_file(tmp_path)
     out = tmp_path / "run"
@@ -764,6 +802,15 @@ def _write_json(tmp_path, name, data):
         ({"prices": [1e9, 5.0], "targets": [2, 2], "powers": [1.0, 1.0]}, "device 0 price 1e+09 lies outside [1e-05, 120]"),
         ({"prices": [50.0, 1e-300], "targets": [2, 2], "powers": [1.0, 1.0]}, "device 1 price 1e-300 lies outside [1e-05, 10]"),
         ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [1e-300, 1.0]}, "no positive transmission rate"),
+        # numpy reads these as numbers; a profile holds JSON numbers only
+        ({"prices": ["50", "5"], "targets": [2, 2], "powers": [1.0, 1.0]}, 'prices must be a list of numbers, got "50"'),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [1.0, "1"]}, 'powers must be a list of numbers, got "1"'),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [True, 1.0]}, "powers must be a list of numbers, got true"),
+        ({"prices": [50.0, False], "targets": [2, 2], "powers": [1.0, 1.0]}, "prices must be a list of numbers, got false"),
+        ({"prices": [50.0, 5.0], "targets": [True, 2], "powers": [1.0, 1.0]}, "targets must be a list of numbers, got true"),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [None, 1.0]}, "powers must be a list of numbers, got null"),
+        ({"prices": 50.0, "targets": [2, 2], "powers": [1.0, 1.0]}, "prices must be a list of numbers"),
+        ({"prices": [10**400, 5.0], "targets": [2, 2], "powers": [1.0, 1.0]}, "OverflowError"),
     ],
 )
 def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
@@ -786,7 +833,7 @@ ALL_DIRECT = {str(k): "N_D" for k in range(1, 10)}
         ({"one": "N_D"}, "ValueError"),
         ({"1": "two"}, "ValueError"),
         ({"1": None}, "TypeError"),
-        (["N_D"], "AttributeError"),
+        (["N_D"], "the file must hold a JSON object"),
         ({"2": "N_D"}, "devices [1, 3, 4, 5, 6, 7, 8, 9] have no target"),
         ({**ALL_DIRECT, "1": 2.7}, "target 2.7 of device 1 is not an integer"),
         ({**ALL_DIRECT, "2": True}, "target True of device 2 is not an integer"),
@@ -877,6 +924,17 @@ def test_validate_unreadable_json_names_flag_and_file(tmp_path, capsys, flag, co
     assert out == ""
     assert err.startswith(f"invalid config: {flag} {path}: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--routing", "--profile"])
+@pytest.mark.parametrize("content", [["N_D"], "N_D", 3, None])
+def test_validate_json_that_is_not_an_object_exit_2(tmp_path, capsys, flag, content):
+    path = _write_json(tmp_path, "not_an_object.json", content)
+    source = [] if flag == "--scenario" else PAPER9
+    assert main(["validate", *source, flag, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid config: {flag} {path}: the file must hold a JSON object\n"
 
 
 def test_validate_prints_nothing_before_exit_2(tmp_path, capsys):

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrelay.scenario import (
+    RELAY_SPEC,
+    AccuracyModel,
     RandomSpec,
     ScenarioError,
     build_channel_matrix,
     load_scenario,
     paper9_scenario,
+    price_floor,
     random_scenario,
     save_scenario,
     scenario_from_dict,
@@ -133,6 +136,46 @@ def test_scenario_channel_matrix_is_cached_and_read_only():
     copy = build_channel_matrix(scen)
     copy[0, 1] = -1.0  # a writable copy
     assert scen.H[0, 1] > 0
+
+
+def _floor_oracle(scen):
+    """1e-6 * min_i(c_i * b_i), from the device parameters in plain floats."""
+    return 1e-6 * min(d.accuracy.c * d.accuracy.b for d in scen.devices)
+
+
+def test_price_floor_is_stored_at_construction():
+    scens = [paper9_scenario(7), paper9_scenario(0)]
+    scens += [random_scenario(n, seed) for n, seed in ((1, 0), (6, 3), (20, 1), (80, 2))]
+    scens += [random_scenario(9, seed, RELAY_SPEC) for seed in range(3)]
+    for scen in scens:
+        assert scen.q_floor == _floor_oracle(scen)
+        assert price_floor(scen) == scen.q_floor
+
+
+def test_price_floor_follows_a_rebuilt_scenario():
+    scen = paper9_scenario(7)
+    dev = scen.devices[4]
+    cheaper = dataclasses.replace(
+        dev, accuracy=AccuracyModel(a=dev.accuracy.a, b=dev.accuracy.b, c=dev.accuracy.c / 8)
+    )
+    replaced = dataclasses.replace(scen, devices=scen.devices[:4] + (cheaper,) + scen.devices[5:])
+    assert replaced.q_floor == _floor_oracle(replaced) < scen.q_floor
+    data = scenario_to_dict(scen)
+    data["devices"][4]["accuracy"]["c"] /= 8
+    loaded = scenario_from_dict(data)
+    assert loaded.q_floor == replaced.q_floor
+    assert scen.q_floor == _floor_oracle(scen)  # the original keeps its own
+
+
+def test_scenario_to_dict_devices_equal_asdict():
+    for scen in (paper9_scenario(7), random_scenario(12, 1), random_scenario(9, 0, RELAY_SPEC)):
+        assert scenario_to_dict(scen)["devices"] == [dataclasses.asdict(d) for d in scen.devices]
+    # values keep their Python type, as asdict keeps it: an int parameter stays an int
+    devices = (make_device(c_p=0, p_max=10), make_device())
+    scen = make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], devices=devices)
+    got = scenario_to_dict(scen)["devices"]
+    assert got == [dataclasses.asdict(d) for d in devices]
+    assert type(got[0]["c_p"]) is int and type(got[0]["p_max"]) is int
 
 
 def test_channel_symmetry_iff_h_symmetric():

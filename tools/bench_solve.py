@@ -1,28 +1,49 @@
-"""Time `solve_stackelberg` end to end on the ROADMAP's solve instances.
+"""Time `fedrelay solve` and its parts on the ROADMAP's solve instances.
 
-Solves paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and
-320 with the default settings (certificate included), and runs a
-4-point sweep: I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
-`random_scenario(9, 0, RELAY_SPEC)`, each point solved by
-`cli.sweep_rows` as `fedrelay sweep` solves it. It also times
-`cli.write_solve_artifacts` alone, writing paper9 seed 7's artifacts
-from a solve made before the timer starts. Each instance runs until it
-has at least 3 samples and 2 s of CPU time (`time.process_time`) in
-total, so a millisecond instance gets hundreds of samples. Prints one JSON object: per instance
-the median and the minimum CPU time and the sample count, the rounds
-(`iterations`, summed over a sweep's points), `converged` (all of a sweep's points) and the process's peak resident
-set size after the instance (`ru_maxrss`, so it never falls from one
-instance to the next), and the machine it ran on. Run it against a
-checkout:
+The instances:
+- one whole `fedrelay solve --preset paper9 --seed 7 --out <fresh dir>`
+  operation, `cli.main` in process with its stdout discarded, as
+  perfbench's paper9 workload times it;
+- `solve_stackelberg` with the default settings (certificate included)
+  on paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and 320;
+- `cli.write_solve_artifacts` alone, writing paper9 seed 7's artifacts
+  into a fresh directory per sample, from a solve made before the
+  timer starts;
+- a 4-point sweep, I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
+  `random_scenario(9, 0, RELAY_SPEC)`, each point solved by
+  `cli.sweep_rows` as `fedrelay sweep` solves it.
+
+Each instance runs in a fresh interpreter, so no instance's heap or
+caches shape the timing of the next. It runs until it has at least 3
+samples and 2 s of CPU time (`time.process_time`) in total, so a
+millisecond instance gets hundreds of samples. Per instance the output
+gives the median and the minimum CPU time, the sample count, the rounds
+(`iterations`, summed over a sweep's points; null for the whole
+operation), `converged` (all of a sweep's points; exit code 0 for the
+whole operation), and the instance process's peak resident set size
+(`ru_maxrss`). It also names the machine. Run it against one checkout:
 
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
-Compare two checkouts on the same machine; `BENCH_solve.json` holds
-such pairs.
+or compare two on the same machine in N pairs:
+
+    python3 tools/bench_solve.py --pairs N <parent>/src <change>/src
+
+Each pair runs every instance on both checkouts, one right after the
+other, the parent first in odd pairs and the change first in even
+ones. The output holds the pairs and, per instance, a summary: each
+side's median and range of `cpu_s_median`, the median of the per-pair
+ratios change / parent, and in how many pairs the change read lower.
+`BENCH_solve.json` holds such a comparison.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import importlib.util
+import io
+import itertools
 import json
 import logging
 import os
@@ -30,75 +51,121 @@ import platform
 import resource
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-import fedrelay
-from fedrelay.cli import RunConfig, sweep_rows, write_solve_artifacts
-from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
-from fedrelay.upper_level import solve_stackelberg
-
-# `scenario.RELAY_SPEC`, written out: the harness also runs against checkouts
-# that predate the constant.
-RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 MIN_SAMPLES = 3
 MIN_CPU_S = 2.0
 SWEEP_I_D = (0.05, 0.1, 0.2, 0.4)
+CLI_SOLVE = ["solve", "--preset", "paper9", "--seed", "7", "--out"]
+INSTANCES = (
+    "paper9 seed 7 cli solve",
+    "paper9 seed 7",
+    "paper9 seed 7 write_solve_artifacts",
+    "random n=20 seed 1",
+    "random n=40 seed 1",
+    "random n=80 seed 1",
+    "random n=320 seed 1",
+    "relay n=9 seed 0 I_d sweep",
+)
 
 
-def solve(scen):
-    """One solve with the default settings: (rounds, converged)."""
-    report = solve_stackelberg(scen)
-    return report.iterations, report.converged
+def build(name: str, tmp: Path):
+    """(n, run) of the instance `name`, from the fedrelay on this process's
+    path; `run()` makes one sample and returns (rounds, converged)."""
+    from fedrelay import cli
+    from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
+    from fedrelay.upper_level import solve_stackelberg
 
+    fresh_dirs = (tmp / f"out{k}" for k in itertools.count())
+    if name == "paper9 seed 7 cli solve":
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(CLI_SOLVE + [str(next(fresh_dirs))])
+            return None, code == 0
 
-class SweepSettings(RunConfig):
-    """`fedrelay sweep`'s default solver settings, keeping the report of
-    every grid point that `sweep_rows` solves with them."""
+        return 9, run
+    if name == "paper9 seed 7 write_solve_artifacts":
+        scen = paper9_scenario(7)
+        report = solve_stackelberg(scen)
+        cfg = cli.RunConfig(preset="paper9", seed=7, out_dir=str(tmp / "unused"))
 
-    reports: list = []
+        def run():
+            cli.write_solve_artifacts(next(fresh_dirs), report, scen, cfg)
+            return report.iterations, report.converged
 
-    def solve(self, scen, **kwargs):
-        # kwargs: an older `sweep_rows` passes the option that skipped its reverse-order run
-        report = super().solve(scen, **kwargs)
-        self.reports.append(report)
-        return report
+        return 9, run
+    if name == "relay n=9 seed 0 I_d sweep":
+        # `scenario.RELAY_SPEC`, written out: the harness also runs against
+        # checkouts that predate the constant
+        scen = random_scenario(9, 0, RandomSpec(r_p=(5.0, 4.0)))
+        reports = []
 
+        class SweepSettings(cli.RunConfig):
+            """`fedrelay sweep`'s default settings, keeping every report."""
 
-def sweep(scen):
-    """The I_d sweep over `scen`: (total rounds, all converged)."""
-    SweepSettings.reports.clear()
-    # the source fields only pass RunConfig's check: sweep_rows takes the scenario itself
-    settings = SweepSettings(random_n=scen.n_devices, seed=0)
-    for v in SWEEP_I_D:
-        sweep_rows(scen, "I_d", v, settings)
-    reports = SweepSettings.reports
-    return sum(r.iterations for r in reports), all(r.converged for r in reports)
+            def solve(self, scen, **kwargs):
+                # kwargs: an older `sweep_rows` passes the option that skipped its reverse-order run
+                report = super().solve(scen, **kwargs)
+                reports.append(report)
+                return report
 
+        # the source fields only pass RunConfig's check: sweep_rows takes the scenario itself
+        settings = SweepSettings(random_n=scen.n_devices, seed=0)
 
-def writer(out_dir: Path):
-    """A run that writes `fedrelay solve --preset paper9 --seed 7`'s
-    artifacts to `out_dir`, from a solve made when it is created."""
-    report = solve_stackelberg(paper9_scenario(7))
-    cfg = RunConfig(preset="paper9", seed=7, out_dir=str(out_dir))
+        def run():
+            reports.clear()
+            for v in SWEEP_I_D:
+                cli.sweep_rows(scen, "I_d", v, settings)
+            return sum(r.iterations for r in reports), all(r.converged for r in reports)
 
-    def write(scen):
-        write_solve_artifacts(out_dir, report, scen, cfg)
+        return 9, run
+    if name == "paper9 seed 7":
+        scen = paper9_scenario(7)
+    else:
+        scen = random_scenario(int(name.split()[1].removeprefix("n=")), 1)
+
+    def run():
+        report = solve_stackelberg(scen)
         return report.iterations, report.converged
 
-    return write
+    return scen.n_devices, run
 
 
-def instances(tmp: Path):
-    """(name, scenario, run) triples; `run` returns (rounds, converged)."""
-    yield "paper9 seed 7", paper9_scenario(7), solve
-    yield "paper9 seed 7 write_solve_artifacts", paper9_scenario(7), writer(tmp / "paper9-7")
-    for n in (20, 40, 80, 320):
-        yield f"random n={n} seed 1", random_scenario(n, 1), solve
-    yield "relay n=9 seed 0 I_d sweep", random_scenario(9, 0, RELAY_SPEC), sweep
+def measure(name: str) -> dict:
+    """Sample the instance `name` in this process."""
+    logging.disable(logging.WARNING)  # non-settling stages warn; the report says so
+    with tempfile.TemporaryDirectory() as tmp:
+        n, run = build(name, Path(tmp))
+        samples: list[float] = []
+        while len(samples) < MIN_SAMPLES or sum(samples) < MIN_CPU_S:
+            start = time.process_time()
+            iterations, converged = run()
+            samples.append(time.process_time() - start)
+    return {
+        "instance": name,
+        "n": n,
+        "cpu_s_median": statistics.median(samples),
+        "cpu_s_min": min(samples),
+        "samples": len(samples),
+        "iterations": iterations,
+        "converged": converged,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+def measure_in_child(name: str, src: str | None) -> dict:
+    """`measure(name)` in a fresh interpreter, with `src` as its
+    PYTHONPATH, or this process's PYTHONPATH when `src` is None."""
+    env = os.environ if src is None else {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, __file__, "--instance", name], env=env, stdout=subprocess.PIPE, text=True, check=True
+    )
+    return json.loads(out.stdout)
 
 
 def cpu_model() -> str:
@@ -110,11 +177,6 @@ def cpu_model() -> str:
     except OSError:
         pass
     return platform.processor() or "unknown"
-
-
-def peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def git_commit(path: Path) -> str:
@@ -130,35 +192,69 @@ def git_commit(path: Path) -> str:
     return out.stdout.strip()
 
 
-def main() -> None:
-    logging.disable(logging.WARNING)  # non-settling stages warn; the report says so
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, scen, run in instances(Path(tmp)):
-            samples: list[float] = []
-            while len(samples) < MIN_SAMPLES or sum(samples) < MIN_CPU_S:
-                start = time.process_time()
-                iterations, converged = run(scen)
-                samples.append(time.process_time() - start)
-            results.append({
-                "instance": name,
-                "n": scen.n_devices,
-                "cpu_s_median": statistics.median(samples),
-                "cpu_s_min": min(samples),
-                "samples": len(samples),
-                "iterations": iterations,
-                "converged": converged,
-                "peak_rss_mb": peak_rss_mb(),
-            })
-    package = Path(fedrelay.__file__).resolve().parent
-    machine = {
+def machine(package: Path) -> dict:
+    return {
         "cpu_model": cpu_model(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "commit": git_commit(package),
     }
-    print(json.dumps({"machine": machine, "instances": results}, indent=2))
+
+
+def summary(pairs: list[dict]) -> dict:
+    """Per instance: each side's median and range of cpu_s_median over the
+    pairs, the median change / parent ratio, and the pairs the change won."""
+    out = {}
+    for k, name in enumerate(INSTANCES):
+        runs = {side: [p[side]["instances"][k] for p in pairs] for side in ("parent", "change")}
+        cpu = {side: [r["cpu_s_median"] for r in rs] for side, rs in runs.items()}
+        rss = {side: [r["peak_rss_mb"] for r in rs] for side, rs in runs.items()}
+        out[name] = {
+            **{f"{side}_cpu_s_median_of_{len(pairs)}": statistics.median(v) for side, v in cpu.items()},
+            **{f"{side}_range": [min(v), max(v)] for side, v in cpu.items()},
+            "median_pair_ratio": statistics.median(c / p for p, c in zip(cpu["parent"], cpu["change"])),
+            "change_lower_in_pairs": sum(c < p for p, c in zip(cpu["parent"], cpu["change"])),
+            **{f"{side}_peak_rss_mb_range": [min(v), max(v)] for side, v in rss.items()},
+        }
+    return out
+
+
+def compare(n_pairs: int, parent: str, change: str) -> dict:
+    srcs = {"parent": parent, "change": change}
+    pairs = []
+    for k in range(n_pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        results = {side: [] for side in order}
+        for name in INSTANCES:
+            for side in order:
+                results[side].append(measure_in_child(name, srcs[side]))
+        pairs.append({
+            "first": order[0],
+            **{side: {"machine": machine(Path(srcs[side])), "instances": results[side]} for side in srcs},
+        })
+    return {"pairs": pairs, "summary": summary(pairs)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--instance", choices=INSTANCES, help="sample one instance in this process")
+    parser.add_argument("--pairs", type=int, metavar="N", help="compare PARENT and CHANGE in N pairs")
+    parser.add_argument("srcs", nargs="*", metavar="SRC", help="PARENT and CHANGE src directories, with --pairs")
+    args = parser.parse_args()
+    if args.instance is not None:
+        result = measure(args.instance)
+    elif args.pairs is not None:
+        if len(args.srcs) != 2 or args.pairs < 1:
+            parser.error("--pairs takes N >= 1 and two src directories")
+        result = compare(args.pairs, *(str(Path(s).resolve()) for s in args.srcs))
+    else:
+        spec = importlib.util.find_spec("fedrelay")
+        if spec is None or spec.origin is None:
+            parser.error("fedrelay is not importable; set PYTHONPATH to a checkout's src")
+        instances = [measure_in_child(name, None) for name in INSTANCES]
+        result = {"machine": machine(Path(spec.origin).parent), "instances": instances}
+    print(json.dumps(result, indent=2))
 
 
 if __name__ == "__main__":
