@@ -92,7 +92,7 @@ def build(name: str, tmp: Path):
     if name == "paper9 seed 7 write_solve_artifacts":
         scen = paper9_scenario(7)
         report = solve_stackelberg(scen)
-        cfg = cli.RunConfig(preset="paper9", seed=7, out_dir=str(tmp / "unused"))
+        cfg = cli.RunConfig(preset="paper9", seed=7)
 
         def run():
             cli.write_solve_artifacts(next(fresh_dirs), report, scen, cfg)
