@@ -84,7 +84,7 @@ def min_power_for_rate(
     """
     if not target_rate > 0:
         raise ValueError(f"target rate must be > 0, got {target_rate}")
-    gain = scen.H[i, target]
+    gain = float(scen.H[i, target])  # a numpy scalar would warn where the power overflows to inf
     if not gain > 0:
         raise ValueError(f"no channel gain from device {i} to node {target}")
     d = scen.devices[i]

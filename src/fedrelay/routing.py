@@ -196,20 +196,34 @@ def routing_adjacency(targets: np.ndarray, n_devices: int) -> dict[str, str]:
     return {str(i + 1): node_label(int(targets[i]), n_devices) for i in range(n_devices)}
 
 
+def _node_number(value) -> int | None:
+    """The integer of a JSON integer or of its text, else None; a float or a
+    bool is not one, though int() would truncate it."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        return None
+
+
 def adjacency_to_targets(adj: dict, n_devices: int) -> np.ndarray:
     """Inverse of routing_adjacency; every device must be named, and each
     next hop is "N_D" or a 1-based device id, as an integer or its text."""
     targets = np.full(n_devices, -1, dtype=int)
     for key, value in adj.items():
-        i = int(key) - 1
-        if not 0 <= i < n_devices:
+        device = _node_number(key)
+        if device is None:
+            raise ValueError(f'device id "{key}" is not an integer')
+        if not 1 <= device <= n_devices:
             raise ValueError(f"device id {key} out of range")
-        if isinstance(value, (bool, float)):  # int() would truncate them
+        # 1-based, the access point numbered n_devices + 1
+        hop = n_devices + 1 if value == "N_D" else _node_number(value)
+        if hop is None:
             raise ValueError(f"target {value!r} of device {key} is not an integer")
-        t = n_devices if value == "N_D" else int(value) - 1
-        if not 0 <= t <= n_devices:
+        if not 1 <= hop <= n_devices + 1:
             raise ValueError(f"target {value} of device {key} out of range")
-        targets[i] = t
+        targets[device - 1] = hop - 1
     missing = np.flatnonzero(targets < 0) + 1
     if len(missing):
         raise ValueError(f"devices {missing.tolist()} have no target")

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fedrelay.radio import (
     transmission_rates,
 )
 from fedrelay.routing import power_matrix
-from fedrelay.scenario import build_channel_matrix, random_scenario
+from fedrelay.scenario import build_channel_matrix, paper9_scenario, random_scenario
 from support import grouped_rates_oracle, make_scenario, rates_from_matrix
 
 
@@ -134,6 +135,14 @@ def test_min_power_signals_infeasible():
     assert exc.value.required == math.inf
     assert str(exc.value) == "device 0 needs power inf > p_max 1"
 
+
+def test_min_power_overflowing_to_inf_signals_infeasible():
+    # (2**999 - 1) * 1e6 / gain overflows: a numpy-scalar gain warned here,
+    # which the test configuration turns into an error
+    scen = replace(paper9_scenario(7), sigma2=1e6, alpha=6.0)
+    with pytest.raises(PowerLimitError) as exc:
+        min_power_for_rate(0, 1, 999.0, 0.0, scen)
+    assert exc.value.required == math.inf
 
 def test_min_power_rejects_bad_args():
     scen = unit_gain_scenario()

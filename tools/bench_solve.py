@@ -3,7 +3,12 @@
 The instances:
 - one whole `fedrelay solve --preset paper9 --seed 7 --out <fresh dir>`
   operation, `cli.main` in process with its stdout discarded, as
-  perfbench's paper9 workload times it;
+  perfbench's paper9 workload times it. The samples are repeated calls
+  in one interpreter, so they leave out what only the first call does,
+  such as building the command-line parser;
+- the same operation as the first `cli.main` call of a fresh interpreter
+  (`fedrelay.cli` imported before the timer starts), as in a one-shot
+  shell run: one sample per interpreter, in 30 interpreters;
 - `solve_stackelberg` with the default settings (certificate included)
   on paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and 320;
 - `cli.write_solve_artifacts` alone, writing paper9 seed 7's artifacts
@@ -16,12 +21,13 @@ The instances:
 Each instance runs in a fresh interpreter, so no instance's heap or
 caches shape the timing of the next. It runs until it has at least 3
 samples and 2 s of CPU time (`time.process_time`) in total, so a
-millisecond instance gets hundreds of samples. Per instance the output
+millisecond instance gets hundreds of samples; the first-call instance
+takes its one sample per interpreter. Per instance the output
 gives the median and the minimum CPU time, the sample count, the rounds
 (`iterations`, summed over a sweep's points; null for the whole
 operation), `converged` (all of a sweep's points; exit code 0 for the
 whole operation), and the instance process's peak resident set size
-(`ru_maxrss`). It also names the machine. Run it against one checkout:
+(`ru_maxrss`; the largest of the first-call interpreters). It also names the machine. Run it against one checkout:
 
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
@@ -62,8 +68,11 @@ MIN_SAMPLES = 3
 MIN_CPU_S = 2.0
 SWEEP_I_D = (0.05, 0.1, 0.2, 0.4)
 CLI_SOLVE = ["solve", "--preset", "paper9", "--seed", "7", "--out"]
+FIRST_CALL = "paper9 seed 7 cli solve, first call"
+FIRST_CALL_INTERPRETERS = 30
 INSTANCES = (
     "paper9 seed 7 cli solve",
+    FIRST_CALL,
     "paper9 seed 7",
     "paper9 seed 7 write_solve_artifacts",
     "random n=20 seed 1",
@@ -82,7 +91,7 @@ def build(name: str, tmp: Path):
     from fedrelay.upper_level import solve_stackelberg
 
     fresh_dirs = (tmp / f"out{k}" for k in itertools.count())
-    if name == "paper9 seed 7 cli solve":
+    if name in ("paper9 seed 7 cli solve", FIRST_CALL):
         def run():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(CLI_SOLVE + [str(next(fresh_dirs))])
@@ -137,12 +146,13 @@ def build(name: str, tmp: Path):
 
 
 def measure(name: str) -> dict:
-    """Sample the instance `name` in this process."""
+    """Sample the instance `name` in this process; the first-call instance
+    takes one sample."""
     logging.disable(logging.WARNING)  # non-settling stages warn; the report says so
     with tempfile.TemporaryDirectory() as tmp:
         n, run = build(name, Path(tmp))
         samples: list[float] = []
-        while len(samples) < MIN_SAMPLES or sum(samples) < MIN_CPU_S:
+        while not samples or name != FIRST_CALL and (len(samples) < MIN_SAMPLES or sum(samples) < MIN_CPU_S):
             start = time.process_time()
             iterations, converged = run()
             samples.append(time.process_time() - start)
@@ -160,12 +170,27 @@ def measure(name: str) -> dict:
 
 def measure_in_child(name: str, src: str | None) -> dict:
     """`measure(name)` in a fresh interpreter, with `src` as its
-    PYTHONPATH, or this process's PYTHONPATH when `src` is None."""
+    PYTHONPATH, or this process's PYTHONPATH when `src` is None; the
+    first-call instance in FIRST_CALL_INTERPRETERS of them, merged."""
     env = os.environ if src is None else {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, __file__, "--instance", name], env=env, stdout=subprocess.PIPE, text=True, check=True
-    )
-    return json.loads(out.stdout)
+
+    def child() -> dict:
+        out = subprocess.run(
+            [sys.executable, __file__, "--instance", name], env=env, stdout=subprocess.PIPE, text=True, check=True
+        )
+        return json.loads(out.stdout)
+
+    if name != FIRST_CALL:
+        return child()
+    runs = [child() for _ in range(FIRST_CALL_INTERPRETERS)]
+    samples = [r["cpu_s_median"] for r in runs]
+    return runs[0] | {
+        "cpu_s_median": statistics.median(samples),
+        "cpu_s_min": min(samples),
+        "samples": len(samples),
+        "converged": all(r["converged"] for r in runs),
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+    }
 
 
 def cpu_model() -> str:
