@@ -338,8 +338,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built at the first `main` call and shared by
-    the later ones in the process: building it takes more than half as long
-    as a paper9 solve, and `parse_args` does not change it."""
+    the later ones in the process: building it takes about 0.4 ms, close to
+    half a paper9 solve, and `parse_args` does not change it."""
     parser = argparse.ArgumentParser(
         prog="fedrelay",
         description="Equilibrium solver for the joint pricing / cooperative-relay game",

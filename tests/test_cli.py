@@ -110,6 +110,7 @@ def test_main_calls_carry_no_state_into_the_next(tmp_path, capsys):
         helps.append(capsys.readouterr().out)
     assert helps[0].startswith("usage: fedrelay") and helps[1] == helps[0]
 
+
 def test_validate_preset_ok(capsys):
     assert main(["validate", "--preset", "paper9", "--seed", "3"]) == 0
     assert "scenario OK" in capsys.readouterr().out
@@ -853,7 +854,7 @@ def _write_json(tmp_path, name, data):
         ({"prices": [50.0, 5.0], "targets": [True, 2], "powers": [1.0, 1.0]}, "targets must be a list of numbers, got true"),
         ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [None, 1.0]}, "powers must be a list of numbers, got null"),
         ({"prices": 50.0, "targets": [2, 2], "powers": [1.0, 1.0]}, "prices must be a list of numbers"),
-        ({"prices": [10**400, 5.0], "targets": [2, 2], "powers": [1.0, 1.0]}, "prices[0] is an integer too large for a float"),
+        ({"prices": [10**400, 5.0], "targets": [2, 2], "powers": [1.0, 1.0]}, "prices[0] is an integer too large"),
         ({"targets": [2, 2], "powers": [1.0, 1.0]}, 'missing field "prices"'),
     ],
 )
@@ -875,8 +876,8 @@ ALL_DIRECT = {str(k): "N_D" for k in range(1, 10)}
         ({"1": "12"}, "target 12"),
         ({"1": "0"}, "target 0"),
         ({"one": "N_D"}, 'device id "one" is not an integer'),
-        ({"1": "two"}, "target 'two' of device 1 is not an integer"),
-        ({"1": None}, "target None of device 1 is not an integer"),
+        ({"1": "two"}, "target 'two' of device 1"),
+        ({"1": None}, "target None of device 1"),
         (["N_D"], "the file must hold a JSON object"),
         ({"2": "N_D"}, "devices [1, 3, 4, 5, 6, 7, 8, 9] have no target"),
         ({**ALL_DIRECT, "1": 2.7}, "target 2.7 of device 1 is not an integer"),

@@ -22,12 +22,13 @@ Each instance runs in a fresh interpreter, so no instance's heap or
 caches shape the timing of the next. It runs until it has at least 3
 samples and 2 s of CPU time (`time.process_time`) in total, so a
 millisecond instance gets hundreds of samples; the first-call instance
-takes its one sample per interpreter. Per instance the output
-gives the median and the minimum CPU time, the sample count, the rounds
+takes its one sample per interpreter. Per instance the output gives the
+median and the minimum CPU time, the sample count, the rounds
 (`iterations`, summed over a sweep's points; null for the whole
 operation), `converged` (all of a sweep's points; exit code 0 for the
 whole operation), and the instance process's peak resident set size
-(`ru_maxrss`; the largest of the first-call interpreters). It also names the machine. Run it against one checkout:
+(`ru_maxrss`; the largest of the first-call interpreters). It also
+names the machine. Run it against one checkout:
 
     PYTHONPATH=<checkout>/src python3 tools/bench_solve.py
 
