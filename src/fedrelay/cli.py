@@ -254,8 +254,7 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             I = profile.indicator()
             feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
         except (ValueError, ZeroDivisionError) as exc:
-            # prefixed by the class as before: tools/artifact_digest.py pins the stalled-profile text
-            raise ScenarioError(f"profile {profile_path}: {type(exc).__name__}: {exc}") from None
+            raise ScenarioError(f"profile {profile_path}: {exc}") from None
         report += [f"profile feasible: {feas}"] + [f"  violation: {v}" for v in violations]
         ok = ok and feas
     print("\n".join(report))

@@ -10,6 +10,8 @@ solution.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .scenario import Scenario, price_floor
@@ -23,9 +25,13 @@ __all__ = [
 
 
 def accuracy_vector(s: np.ndarray, scen: Scenario) -> np.ndarray:
-    """Accuracy of each device's update trained on s[i] data units."""
-    a, b, c = scen.accuracy_coeffs()
-    return a - b * np.exp(-c * np.asarray(s, dtype=float))
+    """Accuracy of each device's update trained on s[i] data units, by
+    `math.exp` per device, so it is the same on every CPU."""
+    s = np.asarray(s, dtype=float).tolist()
+    return np.array([
+        d.accuracy.a - d.accuracy.b * math.exp(-d.accuracy.c * x)
+        for d, x in zip(scen.devices, s, strict=True)
+    ])
 
 
 def owner_utility(s: np.ndarray, q: np.ndarray, scen: Scenario) -> float:
@@ -42,13 +48,17 @@ def best_response_demand(q: np.ndarray, scen: Scenario) -> np.ndarray:
 
     Interior values satisfy the stationarity condition
     q_i = c_i * b_i * exp(-c_i * s_i); prices at or above c_i * b_i shut
-    the purchase off entirely.
+    the purchase off entirely. Computed by `math.log` per device, so it is
+    the same on every CPU; a price vector of the wrong length raises
+    ValueError.
     """
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
         raise ValueError("prices must be strictly positive")
-    _, b, c = scen.accuracy_coeffs()
-    s_max = scen.param("s_max")
-    s = np.log(c * b / q) / c
-    return np.clip(s, 0.0, s_max)
+    s = []
+    for d, q_i in zip(scen.devices, q.tolist(), strict=True):
+        c = d.accuracy.c
+        cb = c * d.accuracy.b
+        s.append(min(math.log(cb / q_i) / c, d.s_max) if q_i < cb else 0.0)
+    return np.array(s)
 

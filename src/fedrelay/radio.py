@@ -4,7 +4,7 @@ Devices that transmit to the same relay share the channel; a device's
 SINR is its received power at the relay over the other co-relay
 received powers plus noise. Devices aimed at different relays do not
 interfere. Rates are computed from the next-hop vector: the co-relay
-received powers are summed per target node.
+received powers are summed per target node, in ascending device order.
 """
 
 from __future__ import annotations
@@ -38,20 +38,27 @@ def transmission_rates(targets: np.ndarray, powers: np.ndarray, scen: Scenario) 
     targets[k] with power powers[k] >= 0.
 
     Numerator: own received power H[k, targets[k]] * powers[k], with H
-    the scenario's gain matrix. Denominator: total received power at that
-    target from every device aiming at it, minus the numerator, plus
-    noise. A device with zero received power transmits nothing; its rate
-    is NaN.
+    the scenario's gain matrix. Denominator: the received powers at that
+    target of the other devices aiming at it, summed from zero in
+    ascending device order, plus noise. The rate is w * log2(1 + SINR)
+    by `math.log2`, the arithmetic of the solver's link terms, so a rate
+    is the same on every CPU. A device with zero received power
+    transmits nothing; its rate is NaN.
     """
     targets = np.asarray(targets, dtype=int)
     powers = np.asarray(powers, dtype=float)
     if np.any(powers < 0):
         raise ValueError("powers must be nonnegative")
-    own = scen.H[np.arange(scen.n_devices), targets] * powers
-    at_target = np.bincount(targets, weights=own, minlength=scen.n_nodes)[targets]
-    denom = at_target - own + scen.sigma2
-    rates = scen.param("w") * np.log2(1.0 + own / denom)
-    rates[own == 0.0] = np.nan
+    own = (scen.H[np.arange(scen.n_devices), targets] * powers).tolist()
+    targets = targets.tolist()
+    rates = np.full(scen.n_devices, np.nan)
+    for i, (d, j) in enumerate(zip(scen.devices, targets)):
+        interference = 0.0
+        for k, t in enumerate(targets):
+            if t == j and k != i:
+                interference += own[k]
+        if own[i] != 0.0:
+            rates[i] = d.w * math.log2(1.0 + own[i] / (interference + scen.sigma2))
     return rates
 
 

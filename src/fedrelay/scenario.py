@@ -294,7 +294,9 @@ def _seeded_scenario(
         raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
     c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
     cb = acc_c * acc_a
-    s_max = np.log(cb / _price_floor(cb)) / acc_c
+    q_lo = _price_floor(cb)
+    # math.log, not np.log, so that the caps are the same on every CPU
+    s_max = [math.log(x / q_lo) / c for x, c in zip(cb.tolist(), acc_c.tolist())]
     devices = tuple(
         DeviceParams(
             c_p=float(c_p[i]),

@@ -27,8 +27,8 @@ only re-ranks them; another device's move re-scores only the links
 whose target it touched, or all of them when it changes the device's
 inflow. A link's terms are a pure function of its target, the device's
 inflow and the interference there, so the run caches them and a stage
-that cycles scores a revisited link once. The equilibrium certificate
-takes each device's best response from the run.
+that cycles scores a revisited link once. The certificate and the
+report's profits are scored with the run's link terms too.
 """
 
 from __future__ import annotations
@@ -150,20 +150,6 @@ class EquilibriumReport:
         return data
 
 
-def _profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
-    """Profit of device i: data revenue, minus transmission energy and
-    processing costs, plus relay-service revenue, minus the relay fee
-    when not transmitting directly."""
-    n, ap = scen.n_devices, scen.ap
-    d = scen.devices[i]
-    revenue = prices[i] * demand[i]
-    energy = radio.transmission_energy_cost(i, powers, rates, scen)
-    processing = d.c_p * demand[i]
-    relay_revenue = scen.c_a * float(I[:n, i].sum())
-    relay_fee = scen.c_a * (1.0 - float(I[i, ap]))
-    return float(revenue - energy - processing + relay_revenue - relay_fee)
-
-
 def penalty_rho(i: int, I: np.ndarray, demand: np.ndarray, rates: np.ndarray, scen: Scenario) -> float:
     """Constraint penalty for device i; 0 exactly when all constraints hold.
 
@@ -181,22 +167,6 @@ def penalty_rho(i: int, I: np.ndarray, demand: np.ndarray, rates: np.ndarray, sc
     rho -= max(0, shortfall) ** 2
     rho -= max(0.0, float(routing.timing_violations(I, demand, rates, scen)[i])) ** 2
     return rho
-
-
-def _value(i, prices, targets, powers, demand, scen, M) -> tuple[float, float]:
-    """Penalized profit of device i at an explicit demand iterate.
-
-    Whole-profile form: recomputes every rate from the next-hop vector,
-    the indicator of the positive-power links, and the penalty that
-    `routing.feasible` reports with, chain termination included. The
-    certificate in `unilateral_gains` scores with it, independently of
-    the O(1) candidate evaluation in `_Run.best`.
-    """
-    I = routing.indicator_from_powers(routing.power_matrix(targets, powers, scen.n_nodes))
-    rates = radio.transmission_rates(targets, powers, scen)
-    profit = _profit_terms(i, prices, powers, demand, rates, I, scen)
-    rho = penalty_rho(i, I, demand, rates, scen)
-    return profit + M * rho, rho
 
 
 def price_best_response(i: int, scen: Scenario) -> float:
@@ -270,19 +240,20 @@ class _Run:
     in ascending device order without device i; so every number equals
     what a fresh run computes, bit for bit.
 
-    A run of two or more devices raises ValueError when it is built if a
-    start power is not positive; every move sets a positive power, so
-    every row of the indicator stays single-link. The chain-termination
-    defect is then twice the number of devices whose chain never reaches
-    the access point, and device i's link decides only whether i and its
-    ancestors (the devices whose chains pass through i) join them. At
-    each `best`, `structure(i)` derives from the labels device i's
-    ancestors and the rho, before its lateness term, of a link to a
+    A run raises ValueError when it is built if a start power is not
+    positive, since a silent link has no rate to score; every move sets a
+    positive power, so every row of the indicator stays single-link. The
+    chain-termination defect is then twice the number of devices whose
+    chain never reaches the access point, and device i's link decides
+    only whether i and its ancestors (the devices whose chains pass
+    through i) join them. At each `best`, `structure(i)` derives from
+    the labels device i's ancestors and the rho, before its lateness term, of a link to a
     device whose chain then reaches the access point, to one whose chain
     does not, and of the direct link; nothing of it is cached. Neither
     profit nor rho depends on the penalty coefficient M, so `best` only
     re-ranks the cached links by profit + M * rho, and `answers[i]` keeps
-    device i's last ranking for `best` to return when it still stands.
+    device i's last ranking, with the winner's value, for `best` to return
+    when it still stands and for `_gains` to score against `current(i)`.
     """
 
     def __init__(
@@ -304,7 +275,7 @@ class _Run:
         self.processing = [float(d.c_p * demand[i]) for i, d in enumerate(self.devices)]
         self.floor = [d.p_max / power_grid for d in self.devices]
         self.cache: list[dict] = [{} for _ in range(n)]
-        if n > 1 and not min(self.powers) > 0:
+        if not min(self.powers) > 0:
             k = self.powers.index(min(self.powers))
             raise ValueError(
                 f"device {k} has power {self.powers[k]:g}; best responses need every device "
@@ -315,8 +286,8 @@ class _Run:
         self.links: list[list[tuple[float, float, float] | None]] = [[None] * (n + 1) for _ in range(n)]
         self.inflow = [-1] * n
         self.touched: list[set[int]] = [set() for _ in range(n)]
-        # per device: (M, found a feasible action, rho, target, power) of its last ranking
-        self.answers: list[tuple[float, bool, float, int, float] | None] = [None] * n
+        # per device: (M, found a feasible action, rho, target, power, value) of its last ranking
+        self.answers: list[tuple[float, bool, float, int, float, float] | None] = [None] * n
 
     def _label(self) -> None:
         """Children of every node, and whether each device's chain reaches
@@ -466,7 +437,7 @@ class _Run:
         """
         last = self.answers[i]
         if last is not None and not self.touched[i]:
-            M_last, feasible, rho, j, p = last
+            M_last, feasible, rho, j, p, _ = last
             if (M == M_last and feasible) or (M > M_last and rho == 0.0):
                 return j, p
         self._catch_up(i)
@@ -496,8 +467,22 @@ class _Run:
                 "device %d has no feasible action even at p_max; "
                 "keeping the least-penalized one (target %d)", i, best_j
             )
-        self.answers[i] = (M, any_feasible, best_rho, best_j, best_p)
+        self.answers[i] = (M, any_feasible, best_rho, best_j, best_p, best_val)
         return best_j, best_p
+
+    def current(self, i: int) -> tuple[float, float]:
+        """Profit and rho of device i's current link, scored as `best`
+        scores a candidate; device i must be caught up. A link whose rate
+        is 0 raises ValueError."""
+        j, p = self.targets[i], self.powers[i]
+        terms = self._terms(i, j, p, self.co_target_power(j, without=i))
+        if terms is None:
+            raise ValueError(f"device {i} transmits to node {j} with power {p:g} at rate 0")
+        profit, late_sq = terms
+        ancestors, reached, cut, direct = self.structure(i)
+        if j == self.ap:
+            return profit, direct - late_sq
+        return profit, (reached if self.reaches_ap[j] and j not in ancestors else cut) - late_sq
 
     def move(self, i: int, j: int, p: float) -> None:
         """Device i now transmits to node j with power p."""
@@ -545,32 +530,16 @@ class _Run:
                 logger.warning("dynamics did not settle within %d rounds at M=%g", max_iter, M)
         return rounds, stable
 
-    def _gains(self, M: float, closed_form) -> np.ndarray:
-        """`unilateral_gains` at the run's profile, with `closed_form` as
-        the price deviations and each best response from the run."""
-        prices, demand, scen = self.prices, self.demand, self.scen
-        targets, powers = np.array(self.targets), np.array(self.powers)
-        gains = np.zeros(scen.n_devices)
-        for i in range(scen.n_devices):
-            q_alt = closed_form[i]
-            j_alt, p_alt = self.best(i, M)
-            same_q = q_alt == prices[i]
-            same_link = j_alt == targets[i] and p_alt == powers[i]
-            if same_q and same_link:
-                continue
-            base, _ = _value(i, prices, targets, powers, demand, scen, M)
-            val_q = val_jp = base
-            if not same_q:
-                prices_alt = prices.copy()
-                prices_alt[i] = q_alt
-                demand_alt = lower_level.best_response_demand(prices_alt, scen)
-                val_q, _ = _value(i, prices_alt, targets, powers, demand_alt, scen, M)
-            if not same_link:
-                targets_alt = targets.copy()
-                powers_alt = powers.copy()
-                targets_alt[i], powers_alt[i] = j_alt, p_alt
-                val_jp, _ = _value(i, prices, targets_alt, powers_alt, demand, scen, M)
-            gains[i] = max(val_q, val_jp) - base
+    def _gains(self, M: float) -> np.ndarray:
+        """Per device, by how much its relay/power best response at M, as
+        `best` ranked it, beats its current link in profit + M * rho: 0
+        when the two are the same link, and never below 0."""
+        gains = np.zeros(self.ap)
+        for i in range(self.ap):
+            j, p = self.best(i, M)
+            if j != self.targets[i] or p != self.powers[i]:
+                profit, rho = self.current(i)
+                gains[i] = max(self.answers[i][5] - (profit + M * rho), 0.0)
         return gains
 
 
@@ -591,18 +560,31 @@ def unilateral_gains(
     """Best-response improvement available to each device at a profile.
 
     Takes the closed-form price and the relay/power best response of
-    each device as its two unilateral deviations, and measures with
-    `_value` the penalized-profit gain of the better of the two. A
-    deviation equal to the device's current strategy would score exactly
-    the current value, so it is not scored; a device whose deviations
-    both equal its strategy gains 0. A solve certifies the same way from
-    its run, whose best responses are caught up with the run's
-    last moves and equal these bit for bit. `profile.check_fits(scen)` runs first.
+    each device as its two unilateral deviations, and measures the
+    penalized-profit gain of the better of the two, never below 0. The
+    link deviation is scored on a run of the profile, the price deviation
+    on a run with that one price moved, at the owner's demand for it. A
+    deviation equal to the device's current strategy is not scored. A
+    solve certifies from its own run, whose best responses are caught up
+    with its last moves and equal these bit for bit.
+    `profile.check_fits(scen)` runs first.
     """
     profile.check_fits(scen)
-    closed_form = [price_best_response(i, scen) for i in range(scen.n_devices)]
+    best_prices = [price_best_response(i, scen) for i in range(scen.n_devices)]
     demand = lower_level.best_response_demand(profile.prices, scen)
-    return _Run(profile, demand, scen, power_grid)._gains(M, closed_form)
+    run = _Run(profile, demand, scen, power_grid)
+    gains = run._gains(M)
+    for i, q in enumerate(best_prices):
+        if q == profile.prices[i]:
+            continue
+        moved = StrategyProfile(profile.prices.copy(), profile.targets, profile.powers)
+        moved.prices[i] = q
+        alt = _Run(moved, lower_level.best_response_demand(moved.prices, scen), scen, power_grid)
+        alt._catch_up(i)
+        profit, rho = run.current(i)
+        alt_profit, alt_rho = alt.current(i)
+        gains[i] = max(gains[i], (alt_profit + M * alt_rho) - (profit + M * rho))
+    return gains
 
 
 def solve_stackelberg(
@@ -617,24 +599,20 @@ def solve_stackelberg(
     Every device starts direct to the access point with its price at the
     closed-form optimum (`default_init`), which no round changes, and the
     owner's demand is computed once, for those prices. The dynamics run
-    once over the penalty schedule; the certificate takes its best
-    responses from the run. Non-convergence is reported, never raised.
+    once over the penalty schedule; the certificate and the profits are
+    scored from the run, once `_gains` has caught every device up.
+    Non-convergence is reported, never raised.
     """
     cfg = cfg or PenaltyConfig()
-    n = scen.n_devices
     start = default_init(scen, power_grid)
     demand = lower_level.best_response_demand(start.prices, scen)
     run = _Run(start, demand, scen, power_grid)
     rounds, stable = run.settle(cfg.m_schedule, max_iter)
-    gains = run._gains(cfg.m_schedule[-1], start.prices)
-    gain = float(np.max(np.maximum(gains, 0.0), initial=0.0))
+    gain = float(run._gains(cfg.m_schedule[-1]).max(initial=0.0))
+    profits = np.array([run.current(i)[0] for i in range(scen.n_devices)])
     profile = run.profile()
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    I = profile.indicator()
-    profits = np.array([
-        _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen) for i in range(n)
-    ])
-    feas, violations = routing.feasible(I, demand, rates, scen, cfg.eps_feas)
+    feas, violations = routing.feasible(profile.indicator(), demand, rates, scen, cfg.eps_feas)
     return EquilibriumReport(
         prices=profile.prices,
         targets=profile.targets,

@@ -4,12 +4,14 @@ The oracles deliberately avoid the library's own code paths: rates are
 regrouped with explicit loops or full-matrix algebra, argmaxes come from
 dense grids, and reachability is checked by walking the next-hop
 function or by boolean matrix powers. The round-robin and certificate
-oracles rebuild every best response from scratch. The profile scorers
-`device_profit`, `reduced_profit` and `penalized_profit` score a whole
-profile through the certificate's `_profit_terms` and `_value`, for the
-tests that hold the dynamics against exhaustive scans. The enumerator
-`pure_equilibria` lists every pure equilibrium of a small scenario, the
-ground truth a solve's profile must belong to.
+oracles rebuild every best response from scratch. The whole-profile
+scorers `profit_terms` and `matrix_value` recompute every rate, the
+indicator of the positive-power links and the penalty `routing.feasible`
+reports with; the library scores with its run's O(1) link terms instead.
+`device_profit`, `reduced_profit` and `penalized_profit` score through
+them, for the tests that hold the dynamics against exhaustive scans. The
+enumerator `pure_equilibria` lists every pure equilibrium of a small
+scenario, the ground truth a solve's profile must belong to.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ import math
 
 import numpy as np
 
-from fedrelay import lower_level, radio
+from fedrelay import lower_level, radio, routing
 from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
 from fedrelay.upper_level import (
     _P_TOL,
     _TIMING_SAFETY,
     StrategyProfile,
     _Run,
-    _profit_terms,
-    _value,
     default_init,
+    penalty_rho,
     price_best_response,
 )
 
@@ -127,24 +128,28 @@ def rates_from_matrix(P, scen) -> np.ndarray:
 
     Numerator: own received power at the chosen relay, sum_j H_ij P_ij,
     with H the scenario's gain matrix.
-    Denominator: total received power at that relay from every device
-    aiming at it, minus the numerator, plus noise. The relay grouping is
-    carried by the matrix products H I^T and P I^T, with I the indicator
-    of positive entries. Devices with an all-zero power row transmit
+    Denominator: the received powers of the other devices aiming at that
+    relay, summed from zero in ascending device order, plus noise. The
+    relay grouping is carried by the matrix product I I^T, with I the
+    indicator of positive entries: devices k and i share a relay iff
+    (I I^T)_ki > 0. The rate is w * log2(1 + SINR) by `math.log2`, the
+    library's arithmetic. Devices with an all-zero power row transmit
     nothing; their rate is NaN.
     """
     P = np.asarray(P, dtype=float)
-    H = scen.H
     n = scen.n_devices
     I = (P > 0).astype(np.int64)
-    HI = H @ I.T
-    PI = P @ I.T
-    own = np.einsum("ij,ij->i", H, P)
-    at_relay = np.einsum("ji,ji->i", HI, PI)
-    denom = at_relay - own + scen.sigma2
-    w = scen.param("w")
-    rates = w * np.log2(1.0 + own[:n] / denom[:n])
-    rates[own[:n] == 0.0] = np.nan
+    shares = I @ I.T
+    own = np.einsum("ij,ij->i", scen.H, P).tolist()
+    rates = np.full(n, np.nan)
+    for i in range(n):
+        if own[i] == 0.0:
+            continue
+        interference = 0.0
+        for k in range(n):
+            if k != i and shares[k, i] > 0:
+                interference += own[k]
+        rates[i] = scen.devices[i].w * math.log2(1.0 + own[i] / (interference + scen.sigma2))
     return rates
 
 
@@ -247,11 +252,37 @@ def copy_profile(x) -> StrategyProfile:
     return StrategyProfile(x.prices.copy(), x.targets.copy(), x.powers.copy())
 
 
+def profit_terms(i, prices, powers, demand, rates, I, scen) -> float:
+    """Profit of device i: data revenue, minus transmission energy and
+    processing costs, plus relay-service revenue, minus the relay fee
+    when not transmitting directly."""
+    n, ap = scen.n_devices, scen.ap
+    d = scen.devices[i]
+    revenue = prices[i] * demand[i]
+    energy = radio.transmission_energy_cost(i, powers, rates, scen)
+    processing = d.c_p * demand[i]
+    relay_revenue = scen.c_a * float(I[:n, i].sum())
+    relay_fee = scen.c_a * (1.0 - float(I[i, ap]))
+    return float(revenue - energy - processing + relay_revenue - relay_fee)
+
+
+def matrix_value(i, prices, targets, powers, demand, scen, M) -> tuple[float, float]:
+    """Penalized profit and penalty of device i at an explicit demand
+    iterate, scored on the whole profile: every rate from the next-hop
+    vector, the indicator of the positive-power links, and the penalty
+    `routing.feasible` reports with, chain termination included."""
+    I = routing.indicator_from_powers(routing.power_matrix(targets, powers, scen.n_nodes))
+    rates = radio.transmission_rates(targets, powers, scen)
+    profit = profit_terms(i, prices, powers, demand, rates, I, scen)
+    rho = penalty_rho(i, I, demand, rates, scen)
+    return profit + M * rho, rho
+
+
 def device_profit(i, profile, demand, scen) -> float:
-    """Profit of device i at `profile` and `demand`, by `_profit_terms`."""
+    """Profit of device i at `profile` and `demand`, by `profit_terms`."""
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
     I = profile.indicator()
-    return _profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
+    return profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
 
 
 def reduced_profit(i, profile, scen) -> float:
@@ -261,9 +292,9 @@ def reduced_profit(i, profile, scen) -> float:
 
 
 def penalized_profit(i, profile, M: float, scen) -> float:
-    """Reduced profit plus M times the constraint penalty, by `_value`."""
+    """Reduced profit plus M times the constraint penalty, by `matrix_value`."""
     demand = lower_level.best_response_demand(profile.prices, scen)
-    val, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
+    val, _ = matrix_value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
     return val
 
 
@@ -360,22 +391,23 @@ def round_robin_oracle(scen, cfg, max_iter: int, order: str, power_grid: int):
 
 
 def unilateral_gains_oracle(profile, scen, M: float, power_grid: int = 50) -> np.ndarray:
-    """The equilibrium certificate scored in full: per device, `_value` of
-    the profile, of the closed-form price deviation and of a fresh
-    relay/power best response, and the gain of the better deviation."""
+    """The equilibrium certificate scored in full: per device,
+    `matrix_value` of the profile, of the closed-form price deviation and
+    of a fresh relay/power best response, and the gain of the better
+    deviation."""
     demand = lower_level.best_response_demand(profile.prices, scen)
     gains = np.zeros(scen.n_devices)
     for i in range(scen.n_devices):
-        base, _ = _value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
+        base, _ = matrix_value(i, profile.prices, profile.targets, profile.powers, demand, scen, M)
         prices_alt = profile.prices.copy()
         prices_alt[i] = price_best_response(i, scen)
         demand_alt = lower_level.best_response_demand(prices_alt, scen)
-        val_q, _ = _value(i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M)
+        val_q, _ = matrix_value(i, prices_alt, profile.targets, profile.powers, demand_alt, scen, M)
         j_alt, p_alt = fresh_best_response(i, profile, demand, scen, M, power_grid)
         targets_alt = profile.targets.copy()
         powers_alt = profile.powers.copy()
         targets_alt[i], powers_alt[i] = j_alt, p_alt
-        val_jp, _ = _value(i, profile.prices, targets_alt, powers_alt, demand, scen, M)
+        val_jp, _ = matrix_value(i, profile.prices, targets_alt, powers_alt, demand, scen, M)
         gains[i] = max(val_q, val_jp) - base
     return gains
 
@@ -435,8 +467,9 @@ def deadline_power(run, i: int, j: int) -> float:
 
 
 def value(run, i: int, j: int, p: float, M: float) -> tuple[float, float]:
-    """Penalized profit and penalty of device i on link (j, p), p > 0:
-    `_value` of the profile with that link substituted."""
+    """Penalized profit and penalty of device i on link (j, p), p > 0, from
+    the run's link terms: `matrix_value` of the profile with that link
+    substituted."""
     terms = run._terms(i, j, p, interference_at(run, i, j))
     if terms is None:
         raise ValueError(f"device {i} transmits with non-positive rate to node {j}")

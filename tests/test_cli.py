@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -828,6 +829,13 @@ def _write_json(tmp_path, name, data):
     return str(path)
 
 
+# the names of Python's exception classes and of the library's own
+EXCEPTION_NAMES = [
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException) and not issubclass(obj, Warning)
+] + ["ScenarioError", "PowerLimitError"]
+
+
 @pytest.mark.parametrize(
     "profile, message",
     [
@@ -864,6 +872,7 @@ def test_validate_rejects_malformed_profile(tmp_path, capsys, profile, message):
     assert main(["validate", "--scenario", str(scen_path), "--profile", prof_path]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and message in err
+    assert [name for name in EXCEPTION_NAMES if name in err] == []
 
 
 ALL_DIRECT = {str(k): "N_D" for k in range(1, 10)}

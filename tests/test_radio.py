@@ -43,7 +43,7 @@ def test_rates_match_grouping_oracle(rng):
         powers = rng.uniform(0.05, 10.0, size=n)
         got = transmission_rates(targets, powers, scen)
         want = grouped_rates_oracle(targets, powers, H, scen)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, want)
 
 
 def test_rates_equal_full_matrix_oracle_exactly(rng):

@@ -24,7 +24,6 @@ from fedrelay.upper_level import (
     solve_stackelberg,
     unilateral_gains,
     _Run,
-    _value,
 )
 from fedrelay import radio, upper_level
 from support import (
@@ -42,6 +41,7 @@ from support import (
     interference,
     make_device,
     make_scenario,
+    matrix_value,
     penalized_profit,
     profit_oracle,
     pure_equilibria,
@@ -460,15 +460,11 @@ def test_relay_context_matches_matrix_value():
                 seen["late"] += late
                 for M in DEFAULT_M_SCHEDULE:
                     val, rho = value(run, i, j, p, M)
-                    want_val, want_rho = _value(
+                    want_val, want_rho = matrix_value(
                         i, profile.prices, targets, powers, demand, scen, M
                     )
-                    if late:  # the deadline term rests on a rate summed in another order
-                        assert math.isclose(rho, want_rho, rel_tol=1e-12, abs_tol=0.0)
-                        assert rho < 0.0
-                    else:
-                        assert rho == want_rho
-                    assert math.isclose(val, want_val, rel_tol=1e-12, abs_tol=0.0)
+                    assert (val, rho) == (want_val, want_rho)
+                    assert rho < 0.0 or not late
     assert min(seen.values()) >= 20, seen
 
 
@@ -518,7 +514,7 @@ def test_relay_br_matches_grid_candidate_oracle():
                     continue
                 targets, powers = profile.targets.copy(), profile.powers.copy()
                 targets[i], powers[i] = j, p
-                val, _ = _value(i, profile.prices, targets, powers, demand, scen, M)
+                val, _ = matrix_value(i, profile.prices, targets, powers, demand, scen, M)
                 if val > best_val:
                     best, best_val = (j, p), val
             got = fresh_best_response(i, profile, demand, scen, M)
@@ -533,6 +529,11 @@ def test_relay_br_requires_positive_powers():
     demand = best_response_demand(profile.prices, scen)
     with pytest.raises(ValueError, match="positive power"):
         fresh_best_response(0, profile, demand, scen, M_FINAL)
+    # one silent device: its link has no rate for the certificate to score
+    solo = make_scenario([[3.0, 0.0], [0.0, 0.0]])
+    silent = StrategyProfile(np.array([50.0]), np.array([1]), np.array([0.0]))
+    with pytest.raises(ValueError, match="positive power"):
+        unilateral_gains(silent, solo, M_FINAL)
 
 
 # ------------------------------------------------------------- dynamics
@@ -784,10 +785,9 @@ def test_certificate_scores_price_deviations_like_oracle(paper9_report, paper9_s
 
 
 def test_certificate_reuses_run_contexts(monkeypatch):
-    counts = {"_value": 0, "started": 0, "min_power_for_rate": 0}
+    counts = {"whole_profile": 0, "started": 0, "min_power_for_rate": 0}
     inside = False
-    original_gains, original_value = _Run._gains, upper_level._value
-    original_min_power = radio.min_power_for_rate
+    original_gains = _Run._gains
 
     def gains(run, *args, **kwargs):
         nonlocal inside
@@ -799,22 +799,36 @@ def test_certificate_reuses_run_contexts(monkeypatch):
             inside = False
             counts["started"] += unstarted - run.inflow.count(-1)
 
-    def value(*args, **kwargs):
-        counts["_value"] += inside
-        return original_value(*args, **kwargs)
-
-    def min_power(*args, **kwargs):
-        counts["min_power_for_rate"] += inside
-        return original_min_power(*args, **kwargs)
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += inside
+            return original(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(_Run, "_gains", gains)
-    monkeypatch.setattr(upper_level, "_value", value)
-    monkeypatch.setattr(radio, "min_power_for_rate", min_power)
+    # the whole-profile scorers: every rate from the next-hop vector, and the chain-termination defect
+    monkeypatch.setattr(radio, "transmission_rates", counted("whole_profile", radio.transmission_rates))
+    monkeypatch.setattr(routing, "reach_defect", counted("whole_profile", routing.reach_defect))
+    monkeypatch.setattr(radio, "min_power_for_rate", counted("min_power_for_rate", radio.min_power_for_rate))
     rep = solve_stackelberg(paper9_scenario(7))
     assert rep.converged and rep.max_unilateral_gain == 0.0
     # the last round moved nothing, so every best response is the current
     # strategy, ranked from the links each device scored on its last turn
-    assert counts == {"_value": 0, "started": 0, "min_power_for_rate": 0}
+    assert counts == {"whole_profile": 0, "started": 0, "min_power_for_rate": 0}
+    # an unsettled run of `certificate_runs`: devices whose best response
+    # moves are scored against their current link, still from the run's terms
+    scen = dataclasses.replace(random_scenario(9, 1, RELAY_SPEC), I_d=0.2)
+    rep = solve_stackelberg(scen, max_iter=1)
+    assert rep.max_unilateral_gain > 1.0 and not rep.converged
+    assert counts["whole_profile"] == 0 and counts["started"] == 0
+
+
+def test_certificate_rejects_a_current_link_at_rate_0(paper9_report, paper9_scen):
+    # device 0 relays through device 1 at a power whose rate rounds to 0
+    profile = copy_profile(paper9_report)
+    profile.targets[0], profile.powers[0] = 1, 1e-300
+    with pytest.raises(ValueError, match="device 0 "):
+        unilateral_gains(profile, paper9_scen, M_FINAL)
 
 
 def test_nonconvergence_is_reported_not_raised():
