@@ -19,7 +19,6 @@ from .routing import (
     check_single_link,
     check_timing,
     feasible,
-    indicator_from_powers,
     routing_lines,
 )
 from .scenario import (

@@ -204,7 +204,7 @@ def reverify_unilateral_gain(path: str | os.PathLike) -> tuple[float, float]:
     m_schedule = tuple(payload["config"]["m_schedule"])
     power_grid = int(payload["config"]["power_grid"])
     gains = unilateral_gains(profile, scen, m_schedule[-1], power_grid=power_grid)
-    recomputed = float(np.max(np.maximum(gains, 0.0), initial=0.0))
+    recomputed = float(np.max(gains, initial=0.0))
     return float(r["max_unilateral_gain"]), recomputed
 
 

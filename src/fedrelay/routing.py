@@ -2,7 +2,8 @@
 
 The transmission graph is encoded two ways: as a target vector
 (``targets[i]`` = node device i transmits to, access point = index n) and
-as a 0/1 indicator matrix over all n+1 nodes. Structural feasibility
+as a 0/1 indicator matrix over all n+1 nodes, which `plan_to_indicator`
+builds from it. Structural feasibility
 means every device has exactly one outgoing link, no self-loops, at
 least one device reaches the access point directly, and every forwarding
 chain terminates at the access point. Every check reads the indicator's
@@ -18,26 +19,11 @@ import numpy as np
 from .scenario import Scenario
 
 
-def power_matrix(targets: np.ndarray, powers: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Sparse power matrix with one entry per device row."""
-    targets = np.asarray(targets, dtype=int)
-    powers = np.asarray(powers, dtype=float)
-    P = np.zeros((n_nodes, n_nodes))
-    P[np.arange(len(targets)), targets] = powers
-    return P
-
-
-def indicator_from_powers(P: np.ndarray) -> np.ndarray:
-    """0/1 indicator of strictly positive power entries."""
-    P = np.asarray(P, dtype=float)
-    if np.any(P < 0):
-        raise ValueError("power entries must be nonnegative")
-    return (P > 0).astype(np.int64)
-
-
 def plan_to_indicator(targets: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Indicator of a target vector (unit power on each chosen link)."""
-    return indicator_from_powers(power_matrix(targets, np.ones(len(targets)), n_nodes))
+    """0/1 indicator of a next-hop vector: row i holds one 1, at targets[i]."""
+    I = np.zeros((n_nodes, n_nodes), dtype=np.int64)
+    I[np.arange(len(targets)), np.asarray(targets, dtype=int)] = 1
+    return I
 
 
 def link_faults(I: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -101,6 +101,8 @@ class StrategyProfile:
         for name in ("prices", "powers"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        if np.any(self.powers < 0):
+            raise ValueError("powers must be nonnegative")
         if np.any(self.targets == np.arange(n)):
             raise ValueError("a device cannot relay through itself")
 
@@ -120,9 +122,11 @@ class StrategyProfile:
                 raise ValueError(f"device {k} power {p:g} exceeds p_max {d.p_max:g}")
 
     def indicator(self) -> np.ndarray:
-        """0/1 indicator of the positive-power links over the n devices and the access point."""
-        P = routing.power_matrix(self.targets, self.powers, len(self.targets) + 1)
-        return routing.indicator_from_powers(P)
+        """0/1 indicator of the next-hop vector over the n devices and the
+        access point, the rows of silent (zero-power) devices empty."""
+        I = routing.plan_to_indicator(self.targets, len(self.targets) + 1)
+        I[np.flatnonzero(self.powers == 0)] = 0
+        return I
 
 
 @dataclass
@@ -217,8 +221,10 @@ class _Run:
     access point or ends in a cycle. `profile()` builds the current
     profile on request.
 
-    Device i's state is kept in per-device lists; its inflow starts
-    unknown, so its first `best` scores every link. Per candidate target
+    Device i's state is kept in per-device lists; `inflow[i]`, read by
+    the catch-up only, is its inflow (the number of devices relaying
+    through it) at its last catch-up, unknown at first, so its first
+    `best` scores every link. Per candidate target
     j (every other node), `links[i][j]` holds the link terms that cost a
     `min_power_for_rate` and a `log2`: the power, the profit and the
     squared lateness, or None for a link that is not a candidate. Given
@@ -254,6 +260,7 @@ class _Run:
     re-ranks the cached links by profit + M * rho, and `answers[i]` keeps
     device i's last ranking, with the winner's value, for `best` to return
     when it still stands and for `_gains` to score against `current(i)`.
+    `current(i)` needs no catch-up: it reads the inflow from the labels.
     """
 
     def __init__(
@@ -337,7 +344,7 @@ class _Run:
             key = (j, inflow, interference)
             terms = cache.get(key, _UNSCORED)
             if terms is _UNSCORED:
-                terms = cache[key] = self._link_terms(i, j, interference)
+                terms = cache[key] = self._link_terms(i, j, inflow, interference)
             links[j] = terms
         self.touched[i].clear()
 
@@ -358,16 +365,28 @@ class _Run:
         reached = -2.0 * stranded - relay_ap  # cut: i and its ancestors strand as well
         return ancestors, reached, reached - 2.0 * (1 + len(ancestors)), -2.0 * stranded
 
-    def _link_terms(self, i: int, j: int, interference: float) -> tuple[float, float, float] | None:
+    def deadline_power(self, i: int, j: int, inflow: int, interference: float) -> float:
+        """Least power at which device i, relaying `inflow` updates, meets
+        its arrival deadline at device j against `interference`; p_max
+        when no power does."""
+        d = self.devices[i]
+        slack = self.T_s[j] - self.T_s[i] - d.T_a * inflow
+        if slack > 0:
+            try:
+                rate = self.I_d / slack * (1.0 + _TIMING_SAFETY)
+                return radio.min_power_for_rate(i, j, rate, interference, self.scen)
+            except radio.PowerLimitError:
+                pass
+        return d.p_max
+
+    def _link_terms(self, i: int, j: int, inflow: int, interference: float) -> tuple[float, float, float] | None:
         """(power, profit, squared lateness) of device i's candidate link
-        to j; None for a relay link whose gain or rate is 0, as at a power
-        that rounds to 0. The relay power is the least that meets the
-        arrival deadline at j against `interference`, p_max when no power
-        does."""
+        to j at `inflow`; None for a relay link whose gain or rate is 0, as
+        at a power that rounds to 0. The relay power is `deadline_power`."""
         d = self.devices[i]
         if j == self.ap:
             p = self.floor[i]
-            terms = self._terms(i, j, p, interference)
+            terms = self._terms(i, j, p, inflow, interference)
             floor = f"on its direct link at the power floor p_max/power_grid = {p:.6g}"
             if terms is None:
                 raise ScenarioError(
@@ -382,25 +401,18 @@ class _Run:
             return (p, *terms)
         if not self.H[i][j] > 0:  # rate 0 at any power
             return None
-        p = d.p_max
-        slack = self.T_s[j] - self.T_s[i] - d.T_a * self.inflow[i]
-        if slack > 0:
-            try:
-                rate = self.I_d / slack * (1.0 + _TIMING_SAFETY)
-                p = radio.min_power_for_rate(i, j, rate, interference, self.scen)
-            except radio.PowerLimitError:
-                pass
-        terms = self._terms(i, j, p, interference)
+        p = self.deadline_power(i, j, inflow, interference)
+        terms = self._terms(i, j, p, inflow, interference)
         return None if terms is None else (p, *terms)
 
-    def _terms(self, i: int, j: int, p: float, interference: float) -> tuple[float, float] | None:
-        """Profit and squared deadline lateness of device i on link (j, p);
-        None when the rate is not positive."""
+    def _terms(self, i: int, j: int, p: float, inflow: int, interference: float) -> tuple[float, float] | None:
+        """Profit and squared deadline lateness of device i on link (j, p)
+        at `inflow`; None when the rate is not positive."""
         d = self.devices[i]
         rate = d.w * math.log2(1.0 + self.H[i][j] * p / (interference + self.sigma2))
         if not rate > 0:
             return None
-        inflow, I_d, c_a = self.inflow[i], self.I_d, self.c_a
+        I_d, c_a = self.I_d, self.c_a
         energy = d.c_t * (I_d / rate) * p
         direct = j == self.ap
         relay_fee = c_a * (0.0 if direct else 1.0)
@@ -472,10 +484,9 @@ class _Run:
 
     def current(self, i: int) -> tuple[float, float]:
         """Profit and rho of device i's current link, scored as `best`
-        scores a candidate; device i must be caught up. A link whose rate
-        is 0 raises ValueError."""
+        scores a candidate. A link whose rate is 0 raises ValueError."""
         j, p = self.targets[i], self.powers[i]
-        terms = self._terms(i, j, p, self.co_target_power(j, without=i))
+        terms = self._terms(i, j, p, len(self.children[i]), self.co_target_power(j, without=i))
         if terms is None:
             raise ValueError(f"device {i} transmits to node {j} with power {p:g} at rate 0")
         profit, late_sq = terms
@@ -562,6 +573,10 @@ def unilateral_gains(
     Takes the closed-form price and the relay/power best response of
     each device as its two unilateral deviations, and measures the
     penalized-profit gain of the better of the two, never below 0. The
+    best response tries each relay at its least deadline power only, so
+    all gains within `eps_nash` make the profile a Nash equilibrium of the
+    deadline-constrained game over these deviations; a slightly late,
+    cheaper relay power is not among them. The
     link deviation is scored on a run of the profile, the price deviation
     on a run with that one price moved, at the owner's demand for it. A
     deviation equal to the device's current strategy is not scored. A
@@ -580,7 +595,6 @@ def unilateral_gains(
         moved = StrategyProfile(profile.prices.copy(), profile.targets, profile.powers)
         moved.prices[i] = q
         alt = _Run(moved, lower_level.best_response_demand(moved.prices, scen), scen, power_grid)
-        alt._catch_up(i)
         profit, rho = run.current(i)
         alt_profit, alt_rho = alt.current(i)
         gains[i] = max(gains[i], (alt_profit + M * alt_rho) - (profit + M * rho))
@@ -600,8 +614,7 @@ def solve_stackelberg(
     closed-form optimum (`default_init`), which no round changes, and the
     owner's demand is computed once, for those prices. The dynamics run
     once over the penalty schedule; the certificate and the profits are
-    scored from the run, once `_gains` has caught every device up.
-    Non-convergence is reported, never raised.
+    scored from the run. Non-convergence is reported, never raised.
     """
     cfg = cfg or PenaltyConfig()
     start = default_init(scen, power_grid)

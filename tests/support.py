@@ -22,11 +22,10 @@ import math
 
 import numpy as np
 
-from fedrelay import lower_level, radio, routing
+from fedrelay import lower_level, radio
 from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
 from fedrelay.upper_level import (
     _P_TOL,
-    _TIMING_SAFETY,
     StrategyProfile,
     _Run,
     default_init,
@@ -121,6 +120,13 @@ def chain_ends(targets, i: int, ap: int) -> list[int]:
         for m in path:
             ends[m] = end
     return ends
+
+
+def power_matrix(targets, powers, n_nodes: int) -> np.ndarray:
+    """Full (n+1)x(n+1) power matrix of a next-hop vector: powers[i] at (i, targets[i])."""
+    P = np.zeros((n_nodes, n_nodes))
+    P[np.arange(len(targets)), np.asarray(targets, dtype=int)] = powers
+    return P
 
 
 def rates_from_matrix(P, scen) -> np.ndarray:
@@ -271,7 +277,7 @@ def matrix_value(i, prices, targets, powers, demand, scen, M) -> tuple[float, fl
     iterate, scored on the whole profile: every rate from the next-hop
     vector, the indicator of the positive-power links, and the penalty
     `routing.feasible` reports with, chain termination included."""
-    I = routing.indicator_from_powers(routing.power_matrix(targets, powers, scen.n_nodes))
+    I = power_matrix(targets, powers, scen.n_nodes) > 0
     rates = radio.transmission_rates(targets, powers, scen)
     profit = profit_terms(i, prices, powers, demand, rates, I, scen)
     rho = penalty_rho(i, I, demand, rates, scen)
@@ -281,7 +287,7 @@ def matrix_value(i, prices, targets, powers, demand, scen, M) -> tuple[float, fl
 def device_profit(i, profile, demand, scen) -> float:
     """Profit of device i at `profile` and `demand`, by `profit_terms`."""
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    I = profile.indicator()
+    I = power_matrix(profile.targets, profile.powers, scen.n_nodes) > 0
     return profit_terms(i, profile.prices, profile.powers, demand, rates, I, scen)
 
 
@@ -412,8 +418,8 @@ def unilateral_gains_oracle(profile, scen, M: float, power_grid: int = 50) -> np
     return gains
 
 
-# Readers of a `_Run`'s per-device state. Each takes a run on which device
-# i is caught up (`run._catch_up(i)`, as `run.best` does first).
+# Readers of a `_Run`'s per-device state. `candidates` needs device i caught
+# up (`run._catch_up(i)`, as `run.best` does first); the others do not.
 
 
 def caught_up_run(i, profile, demand, scen, power_grid: int = 50) -> _Run:
@@ -453,24 +459,16 @@ def candidates(run, i: int) -> list[tuple[int, float, float, float]]:
 
 
 def deadline_power(run, i: int, j: int) -> float:
-    """Minimal power meeting device i's arrival deadline at relay j against
-    the current co-target interference; p_max when unmeetable."""
-    d = run.devices[i]
-    slack = run.T_s[j] - run.T_s[i] - d.T_a * run.inflow[i]
-    if slack > 0:
-        try:
-            rate = run.I_d / slack * (1.0 + _TIMING_SAFETY)
-            return radio.min_power_for_rate(i, j, rate, interference_at(run, i, j), run.scen)
-        except radio.PowerLimitError:
-            pass
-    return d.p_max
+    """`run.deadline_power` of device i at relay j, at its current inflow
+    and against the current co-target interference."""
+    return run.deadline_power(i, j, len(run.children[i]), interference_at(run, i, j))
 
 
 def value(run, i: int, j: int, p: float, M: float) -> tuple[float, float]:
     """Penalized profit and penalty of device i on link (j, p), p > 0, from
     the run's link terms: `matrix_value` of the profile with that link
     substituted."""
-    terms = run._terms(i, j, p, interference_at(run, i, j))
+    terms = run._terms(i, j, p, len(run.children[i]), interference_at(run, i, j))
     if terms is None:
         raise ValueError(f"device {i} transmits with non-positive rate to node {j}")
     profit, late_sq = terms
@@ -482,19 +480,18 @@ def least_deadline_powers(targets, demand, scen, start, power_grid: int = 50) ->
     """Powers of the next-hop plan `targets`: the power floor on a direct
     link, and on relay links the least fixed point of the map that gives
     every relayed device its `deadline_power` (capped at p_max) against
-    the others' powers, iterated up from powers too small to interfere."""
+    the others' powers, iterated up from powers too small to interfere,
+    on one run of the plan that moves every relayed device at each step."""
     ap = scen.ap
     powers = [d.p_max / power_grid if t == ap else 5e-324 for d, t in zip(scen.devices, targets)]
+    run = _Run(StrategyProfile(start.prices, targets, powers), demand, scen, power_grid)
+    relayed = [i for i, t in enumerate(targets) if t != ap]
     for _ in range(1000):
-        run = _Run(StrategyProfile(start.prices, targets, powers), demand, scen, power_grid)
-        new = list(powers)
-        for i, t in enumerate(targets):
-            if t != ap:
-                run._catch_up(i)
-                new[i] = deadline_power(run, i, t)
-        if new == powers:
-            return powers
-        powers = new
+        new = [deadline_power(run, i, targets[i]) for i in relayed]
+        if new == [run.powers[i] for i in relayed]:
+            return list(run.powers)
+        for i, p in zip(relayed, new):
+            run.move(i, targets[i], p)
     raise AssertionError(f"deadline powers of plan {targets} did not settle")
 
 

@@ -127,6 +127,19 @@ def test_validate_rejects_zero_noise(tmp_path, capsys):
     assert err.startswith("invalid config:") and err.count("\n") == 1 and "sigma2" in err
 
 
+@pytest.mark.parametrize("gain", [0.0, -1.0, math.inf])
+def test_validate_rejects_off_diagonal_gain_exit_2(tmp_path, capsys, gain):
+    data = scenario_to_dict(paper9_scenario(3))
+    h = np.full((10, 10), data["global"]["h"])
+    h[2, 9] = gain
+    data["global"]["h"] = h.tolist()
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid config: off-diagonal channel gains h_ij must be positive and finite\n"
+
+
 def test_validate_missing_scenario_file_exit_2(tmp_path, capsys):
     path = tmp_path / "missing.json"
     assert main(["validate", "--scenario", str(path)]) == 2

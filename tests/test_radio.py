@@ -11,9 +11,8 @@ from fedrelay.radio import (
     transmission_energy_cost,
     transmission_rates,
 )
-from fedrelay.routing import power_matrix
 from fedrelay.scenario import build_channel_matrix, paper9_scenario, random_scenario
-from support import grouped_rates_oracle, make_scenario, rates_from_matrix
+from support import grouped_rates_oracle, make_scenario, power_matrix, rates_from_matrix
 
 
 def unit_gain_scenario(**kwargs):

@@ -10,16 +10,21 @@ from fedrelay.routing import (
     check_single_link,
     check_timing,
     feasible,
-    indicator_from_powers,
     plan_to_indicator,
-    power_matrix,
     reach_defect,
     routing_adjacency,
     routing_lines,
     timing_violations,
 )
 from fedrelay.scenario import RELAY_SPEC, random_scenario
-from support import make_scenario, reach_defect_matrix, timing_violations_oracle, walk_reaches_ap
+from fedrelay.upper_level import StrategyProfile
+from support import (
+    make_scenario,
+    power_matrix,
+    reach_defect_matrix,
+    timing_violations_oracle,
+    walk_reaches_ap,
+)
 
 # published routing map for the 9-device benchmark: 1-based child -> relay
 TABLE_ROUTING = {1: "N_D", 2: "N_D", 3: "7", 4: "N_D", 5: "4", 6: "4", 7: "N_D", 8: "N_D", 9: "N_D"}
@@ -33,26 +38,24 @@ def grid_positions(n):
     return [[float(i), float(i % 3)] for i in range(n + 1)]
 
 
-def test_indicator_from_powers_single_entry():
-    P = np.zeros((3, 3))
-    P[0, 1] = 0.5
-    I = indicator_from_powers(P)
+def test_profile_indicator_single_entry():
+    I = StrategyProfile([1.0, 1.0], [1, 2], [0.5, 0.0]).indicator()
+    assert I.dtype == np.int64 and I.shape == (3, 3)
     assert I[0, 1] == 1
     assert I.sum() == 1
 
 
-def test_indicator_from_powers_zeros_and_denormal():
-    assert indicator_from_powers(np.zeros((4, 4))).sum() == 0
-    P = np.zeros((2, 2))
-    P[0, 1] = 1e-300
-    assert indicator_from_powers(P)[0, 1] == 1
+def test_profile_indicator_silent_rows_and_denormal():
+    silent = StrategyProfile([1.0] * 3, [3, 3, 0], [0.0] * 3).indicator()
+    assert silent.sum() == 0 and silent.shape == (4, 4)
+    I = StrategyProfile([1.0], [1], [1e-300]).indicator()
+    assert I[0, 1] == 1
+    assert np.array_equal(I, plan_to_indicator([1], 2))
 
 
-def test_indicator_rejects_negative_power():
-    P = np.zeros((2, 2))
-    P[0, 1] = -1.0
-    with pytest.raises(ValueError):
-        indicator_from_powers(P)
+def test_profile_rejects_negative_power():
+    with pytest.raises(ValueError, match="nonnegative"):
+        StrategyProfile([1.0], [1], [-1.0])
 
 
 def test_single_link_on_table_routing():
@@ -299,6 +302,7 @@ def test_adjacency_round_trip():
 
 
 def test_power_matrix_layout():
+    # the full-matrix oracle input of `support.rates_from_matrix`
     P = power_matrix(np.array([2, 0]), np.array([0.5, 1.5]), 3)
     assert P[0, 2] == 0.5
     assert P[1, 0] == 1.5

@@ -55,6 +55,14 @@ def test_coincident_positions_rejected():
         make_scenario([[1.0, 1.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("gain", [0.0, -1.0, math.inf])
+def test_off_diagonal_gain_must_be_positive_and_finite(gain):
+    h = np.full((3, 3), 10.0)
+    h[0, 2] = gain
+    with pytest.raises(ScenarioError, match="off-diagonal channel gains h_ij must be positive and finite"):
+        make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], h=h)
+
+
 def test_paper9_values():
     scen = paper9_scenario(0)
     assert scen.c_a == 0.0096

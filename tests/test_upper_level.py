@@ -823,6 +823,52 @@ def test_certificate_reuses_run_contexts(monkeypatch):
     assert counts["whole_profile"] == 0 and counts["started"] == 0
 
 
+def paper9_relaying_profile():
+    """paper9 seed 7 at its closed-form prices and floor powers, with
+    device 1 relaying to device 2 and device 4 to device 3 (1-based)."""
+    scen = paper9_scenario(7)
+    profile = default_init(scen)
+    profile.targets[0], profile.targets[3] = 1, 2
+    return scen, profile
+
+
+def test_current_link_scores_without_a_catch_up():
+    scen, profile = paper9_relaying_profile()
+    demand = best_response_demand(profile.prices, scen)
+    for i in range(scen.n_devices):
+        profit, rho = _Run(profile, demand, scen, 50).current(i)
+        assert (profit, rho) == caught_up_run(i, profile, demand, scen).current(i)
+        want = matrix_value(i, profile.prices, profile.targets, profile.powers, demand, scen, M_FINAL)
+        assert (profit + M_FINAL * rho, rho) == want
+
+
+def test_moved_price_deviation_scores_no_link(monkeypatch):
+    scen, profile = paper9_relaying_profile()
+    profile.prices[0] *= 1.1  # the relaying device 1, off its closed-form price
+    want = unilateral_gains_oracle(profile, scen, M_FINAL)
+    calls = {"link_deviations": 0, "price_deviations": 0}
+    inside = False
+    original_gains, original_power = _Run._gains, radio.min_power_for_rate
+
+    def gains(run, *args, **kwargs):
+        nonlocal inside
+        inside = True
+        try:
+            return original_gains(run, *args, **kwargs)
+        finally:
+            inside = False
+
+    def counted(*args, **kwargs):
+        calls["link_deviations" if inside else "price_deviations"] += 1
+        return original_power(*args, **kwargs)
+
+    monkeypatch.setattr(_Run, "_gains", gains)
+    monkeypatch.setattr(radio, "min_power_for_rate", counted)
+    got = unilateral_gains(profile, scen, M_FINAL)
+    assert calls["price_deviations"] == 0 and calls["link_deviations"] > 0
+    assert np.array_equal(got, want) and got[0] > 0
+
+
 def test_certificate_rejects_a_current_link_at_rate_0(paper9_report, paper9_scen):
     # device 0 relays through device 1 at a power whose rate rounds to 0
     profile = copy_profile(paper9_report)
