@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
@@ -136,8 +137,10 @@ class Scenario:
         if h.shape != (n + 1, n + 1):
             raise ScenarioError(f"h must be scalar or ({n + 1}, {n + 1}), got {h.shape}")
         off = ~np.eye(n + 1, dtype=bool)
-        if not np.all(h[off] > 0) or not np.all(np.isfinite(h)):
+        if not np.all((h[off] > 0) & (h[off] < math.inf)):
             raise ScenarioError("off-diagonal channel gains h_ij must be positive and finite")
+        if not np.all(np.isfinite(h.diagonal())):  # never a link, but written to report.json
+            raise ScenarioError("diagonal channel gains h_ii must be finite")
         _check("path-loss exponent alpha", self.alpha, ALPHA_MIN, at_least=True, at_most=ALPHA_MAX)
         _check("noise power sigma2", self.sigma2, SIGMA2_MIN, at_least=True, at_most=SIGMA2_MAX)
         _check("update size I_d", self.I_d, 0.0, at_most=I_D_MAX)
@@ -271,27 +274,76 @@ class RandomSpec:
 RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 
 
+_M32, _M53, _M64, _M128 = ((1 << b) - 1 for b in (32, 53, 64, 128))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_STEPS = [(k, d) for k in range(4) for d in range(4) if k != d]
+
+
+class _PCG64:
+    """The stream of `np.random.default_rng(seed)` for an integer seed, in
+    pure Python, so that drawing positions never imports `numpy.random`:
+    numpy's SeedSequence hashing (a pool of 4 words, `generate_state(4,
+    uint64)`) seeds a 128-bit PCG64 with XSL-RR output (O'Neill, 2014)."""
+
+    def __init__(self, seed: int):
+        words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+        # mix_entropy: hash the first 4 words (0 past the seed's) into the pool, then
+        # each pool word into every other, then each further word into all of them
+        h, pool = 0x43B0D7E5, []
+        for v in (words + [0] * 3)[:4]:
+            v ^= h
+            h = h * 0x931E8875 & _M32
+            v = v * h & _M32
+            pool.append(v ^ v >> 16)
+        for k, dst in _POOL_STEPS + [(k, d) for k in range(4, len(words)) for d in range(4)]:
+            v = (pool[k] if k < 4 else words[k]) ^ h
+            h = h * 0x931E8875 & _M32
+            v = v * h & _M32
+            r = 0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16) & _M32
+            pool[dst] = r ^ r >> 16
+        h, out = 0x8B51F9DD, []  # generate_state: 8 words, read as 4 little-endian ones
+        for k in range(8):
+            v = pool[k % 4] ^ h
+            h = h * 0x58F38DED & _M32
+            v = v * h & _M32
+            out.append(v ^ v >> 16)
+        u = [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+        # pcg64_set_seed: inc from words 2-3, then two steps around adding words 0-1
+        self.inc = (u[2] << 64 | u[3]) << 1 & _M128 | 1
+        self.state = ((self.inc + (u[0] << 64 | u[1])) * _PCG_MULT + self.inc) & _M128
+
+    def uniform(self, low: float, high: float, count: int) -> list[float]:
+        """`count` draws of `Generator.uniform(low, high)`, bit for bit."""
+        s, inc, scale, out = self.state, self.inc, (high - low) * 2.0**-53, []
+        for _ in range(count):
+            s = (s * _PCG_MULT + inc) & _M128
+            x = (s >> 64 ^ s) & _M64  # XSL; then rotate right by s >> 122, keep the top 53 bits
+            out.append(low + scale * ((x | x << 64) >> ((s >> 122) + 11) & _M53))
+        self.state = s
+        return out
+
+
 def _seeded_scenario(
-    n: int, seed: int, columns: Callable[[np.random.Generator], Sequence[Sequence[float]]]
+    n: int, seed: int, columns: Callable[[_PCG64], Sequence[Sequence[float]]]
 ) -> Scenario:
     """Instance with node positions uniform on [0, AREA]^2, drawn first
-    from `seed`, the device columns (c_t, c_p, r_p, T_a, acc_a, acc_c)
-    that `columns` returns from the same generator, and the module's
-    wireless constants.
+    from `seed` as `np.random.default_rng(seed)` draws them, the device
+    columns (c_t, c_p, r_p, T_a, acc_a, acc_c) that `columns` returns from
+    the same stream, and the module's wireless constants.
 
     Accuracy b equals a; price caps sit at c*b and demand caps bind only at
     the price floor.
     """
     if n < 1:
         raise ScenarioError(f"need at least one device, got n={n}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
     try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}") from exc
-    try:
-        positions = rng.uniform(0.0, AREA, size=(n + 1, 2))
+        positions = np.empty((n + 1, 2))
     except ValueError as exc:  # past numpy's array limits, before any allocation
         raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
+    rng = _PCG64(int(seed))
+    positions.flat = rng.uniform(0.0, AREA, positions.size)
     c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
     cb = acc_c * acc_a
     q_lo = _price_floor(cb)
@@ -340,7 +392,11 @@ def paper9_scenario(seed: int) -> Scenario:
 def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scenario:
     """Seeded random instance: uniform positions, Gaussian device parameters."""
 
-    def draw(rng: np.random.Generator) -> list[np.ndarray]:
+    def draw(stream: _PCG64) -> list[np.ndarray]:
+        bits = np.random.PCG64(0)  # continues the positions' stream, in numpy
+        pcg = {"state": stream.state, "inc": stream.inc}
+        bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        rng = np.random.Generator(bits)
         dists = (spec.c_t, spec.c_p, spec.r_p, spec.T_a, spec.acc_a, spec.acc_c)
         return [np.maximum(rng.normal(mean, std, size=n), DRAW_FLOOR) for mean, std in dists]
 

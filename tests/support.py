@@ -12,6 +12,8 @@ reports with; the library scores with its run's O(1) link terms instead.
 them, for the tests that hold the dynamics against exhaustive scans. The
 enumerator `pure_equilibria` lists every pure equilibrium of a small
 scenario, the ground truth a solve's profile must belong to.
+`default_rng_scenario` builds a random scenario with numpy's own
+`default_rng`, the reference for the library's pure-Python stream.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import math
 import numpy as np
 
 from fedrelay import lower_level, radio
-from fedrelay.scenario import AccuracyModel, DeviceParams, Scenario
+from fedrelay import scenario as sc
+from fedrelay.scenario import AccuracyModel, DeviceParams, RandomSpec, Scenario
 from fedrelay.upper_level import (
     _P_TOL,
     StrategyProfile,
@@ -343,6 +346,33 @@ def grid_argmax_price(i: int, scen, step: float = 1e-6, q_lo: float | None = Non
         return (q - dev.c_p) * np.log(cb / q) / dev.accuracy.c
 
     return _concave_grid_argmax(margin, q_lo, cb, step)
+
+
+def default_rng_positions(n: int, seed) -> np.ndarray:
+    """The n + 1 node positions that `np.random.default_rng(seed)` draws
+    uniform on [0, AREA]^2."""
+    return np.random.default_rng(seed).uniform(0.0, sc.AREA, size=(n + 1, 2))
+
+
+def default_rng_scenario(n: int, seed, spec: RandomSpec = RandomSpec()) -> Scenario:
+    """`random_scenario(n, seed, spec)` drawn wholly by numpy: positions,
+    then the six Gaussian columns, from one `np.random.default_rng(seed)`."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.0, sc.AREA, size=(n + 1, 2))
+    dists = (spec.c_t, spec.c_p, spec.r_p, spec.T_a, spec.acc_a, spec.acc_c)
+    cols = [np.maximum(rng.normal(mean, std, size=n), sc.DRAW_FLOOR).tolist() for mean, std in dists]
+    q_lo = sc.PRICE_FLOOR_SCALE * min(a * c for a, c in zip(cols[4], cols[5]))
+    devices = tuple(
+        DeviceParams(
+            c_t=c_t, c_p=c_p, r_p=r_p, T_a=T_a, w=sc.W, accuracy=AccuracyModel(a=a, b=a, c=c),
+            s_max=math.log(c * a / q_lo) / c, q_max=c * a, p_max=sc.P_MAX,
+        )
+        for c_t, c_p, r_p, T_a, a, c in zip(*cols)
+    )
+    return Scenario(
+        devices=devices, positions=positions, h=sc.H_GAIN, alpha=sc.ALPHA, sigma2=sc.SIGMA2,
+        I_d=sc.I_D, c_a=sc.C_A,
+    )
 
 
 def fresh_best_response(i, profile, demand, scen, M: float, power_grid: int = 50):

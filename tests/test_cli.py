@@ -8,6 +8,9 @@ import io
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -138,6 +141,18 @@ def test_validate_rejects_off_diagonal_gain_exit_2(tmp_path, capsys, gain):
     assert main(["validate", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == "invalid config: off-diagonal channel gains h_ij must be positive and finite\n"
+
+
+def test_validate_rejects_infinite_diagonal_gain_exit_2(tmp_path, capsys):
+    # never a link, but report.json holds the full h, and JSON has no Infinity
+    data = scenario_to_dict(paper9_scenario(3))
+    h = np.full((10, 10), data["global"]["h"])
+    h[4, 4] = math.inf
+    data["global"]["h"] = h.tolist()
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "invalid config: diagonal channel gains h_ii must be finite\n"
 
 
 def test_validate_missing_scenario_file_exit_2(tmp_path, capsys):
@@ -496,6 +511,40 @@ def test_random_beyond_array_limit_exits_2(tmp_path, capsys, argv):
         argv = [*argv, "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     assert "too many devices" in capsys.readouterr().err
+
+
+NUMPY_RANDOM_CHILD = """
+import contextlib, io, json, sys
+import numpy
+bare = "numpy.random" in sys.modules
+from fedrelay.cli import main
+codes, loaded = [], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+    loaded.append("numpy.random" in sys.modules)
+print(json.dumps([bare, codes, loaded]))
+"""
+
+
+def test_paper9_runs_leave_numpy_random_unloaded(tmp_path):
+    runs = [
+        ["solve", "--preset", "paper9", "--seed", "7", "--out", str(tmp_path / "p9")],
+        ["validate", "--preset", "paper9", "--seed", "7"],
+        ["solve", "--random", "5", "--seed", "1", "--out", str(tmp_path / "r5")],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_CHILD, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    bare, codes, loaded = json.loads(done.stdout)
+    if bare:
+        pytest.skip("a bare `import numpy` loads numpy.random (numpy < 2)")
+    assert codes == [0, 0, 0]
+    assert loaded == [False, False, True]  # the random scenario's Gaussian draw imports it
 
 
 def test_unknown_preset_rejected_in_library():

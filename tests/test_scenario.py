@@ -21,7 +21,22 @@ from fedrelay.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from support import make_device, make_scenario
+from support import default_rng_positions, default_rng_scenario, make_device, make_scenario
+
+# paper9 seed 7's node positions, numpy's default_rng(7) stream, pinned so
+# that the acceptance data cannot drift with the numpy installed
+PAPER9_SEED7_POSITIONS = [
+    ("0x1.900fa428dcbd3p+2", "0x1.1f1bc12bdaf00p+3"),
+    ("0x1.f07057eef21b7p+2", "0x1.2043e45b2b12ap+1"),
+    ("0x1.80367cfd47149p+1", "0x1.17897f8d1b38ap+3"),
+    ("0x1.af5570a40a120p-5", "0x1.06cb08335fee8p+3"),
+    ("0x1.fe1fdaeed41f4p+2", "0x1.2b7a7671cc369p+2"),
+    ("0x1.83e1aa6615134p+1", "0x1.6462812bb5409p+1"),
+    ("0x1.463baa9e98ec2p+1", "0x1.1cd94d4cf9e4ep+2"),
+    ("0x1.42e92fceb203ep+2", "0x1.623d0193f4d3dp+2"),
+    ("0x1.3e8f621aa305ep+3", "0x1.fb4dba9584e79p+2"),
+    ("0x1.8e31d84ec02cep+2", "0x1.3c779d842d20dp+3"),
+]
 
 
 def test_channel_gain_unit_distance():
@@ -55,12 +70,22 @@ def test_coincident_positions_rejected():
         make_scenario([[1.0, 1.0], [1.0, 1.0]])
 
 
-@pytest.mark.parametrize("gain", [0.0, -1.0, math.inf])
+@pytest.mark.parametrize("gain", [0.0, -1.0, math.inf, math.nan])
 def test_off_diagonal_gain_must_be_positive_and_finite(gain):
     h = np.full((3, 3), 10.0)
     h[0, 2] = gain
     with pytest.raises(ScenarioError, match="off-diagonal channel gains h_ij must be positive and finite"):
         make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], h=h)
+
+
+@pytest.mark.parametrize("gain", [math.inf, -math.inf, math.nan])
+def test_diagonal_gain_must_be_finite(gain):
+    h = np.full((3, 3), 10.0)
+    h[1, 1] = gain
+    with pytest.raises(ScenarioError, match="^diagonal channel gains h_ii must be finite$"):
+        make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], h=h)
+    h[1, 1] = 0.0  # never a link: any finite value passes
+    make_scenario([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], h=h)
 
 
 def test_paper9_values():
@@ -121,6 +146,44 @@ def test_random_scenario_rejects_bad_args():
         paper9_scenario(-1)
     with pytest.raises(ScenarioError, match="seed"):
         random_scenario(3, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**40])
+def test_positions_are_default_rng_stream(seed):
+    assert np.array_equal(paper9_scenario(seed).positions, default_rng_positions(9, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**256), n=st.integers(1, 40))
+def test_positions_are_default_rng_stream_property(seed, n):
+    assert np.array_equal(random_scenario(n, seed).positions, default_rng_positions(n, seed))
+
+
+@pytest.mark.parametrize("spec", [RandomSpec(), RELAY_SPEC], ids=["default", "relay"])
+@pytest.mark.parametrize("n", [1, 6, 16, 20, 80])
+def test_random_scenario_equals_default_rng_oracle(n, spec):
+    for seed in (1, 2**64 + 5):
+        assert scenario_to_dict(random_scenario(n, seed, spec)) == scenario_to_dict(
+            default_rng_scenario(n, seed, spec)
+        )
+
+
+def test_paper9_seed7_positions_pinned():
+    want = [[float.fromhex(x) for x in row] for row in PAPER9_SEED7_POSITIONS]
+    assert paper9_scenario(7).positions.tolist() == want
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", [1, 2], None, np.float64(7.0)])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ScenarioError, match="seed"):
+        paper9_scenario(seed)
+    with pytest.raises(ScenarioError, match="seed"):
+        random_scenario(3, seed)
+
+
+def test_numpy_integer_seed_is_its_value():
+    assert scenario_to_dict(paper9_scenario(np.int64(7))) == scenario_to_dict(paper9_scenario(7))
+    assert scenario_to_dict(random_scenario(6, np.uint64(3))) == scenario_to_dict(random_scenario(6, 3))
 
 
 def test_generated_scenarios_pass_invariants():

@@ -10,7 +10,9 @@ The instances:
   (`fedrelay.cli` imported before the timer starts), as in a one-shot
   shell run: one sample per interpreter, in 30 interpreters;
 - `solve_stackelberg` with the default settings (certificate included)
-  on paper9 seed 7 and `random_scenario(n, 1)` for n = 20, 40, 80 and 320;
+  on paper9 seed 7, on `random_scenario(n, 1)` for n = 20, 40, 80 and
+  320, and in the relay regime, `random_scenario(n, seed, RELAY_SPEC)`,
+  on n = 9 seed 2, n = 20 seeds 0-2, and n = 40 and 80 seed 0;
 - `cli.write_solve_artifacts` alone, writing paper9 seed 7's artifacts
   into a fresh directory per sample, from a solve made before the
   timer starts;
@@ -26,7 +28,9 @@ takes its one sample per interpreter. Per instance the output gives the
 median and the minimum CPU time, the sample count, the rounds
 (`iterations`, summed over a sweep's points; null for the whole
 operation), `converged` (all of a sweep's points; exit code 0 for the
-whole operation), and the instance process's peak resident set size
+whole operation), the relay links of the final profile (`relays`,
+summed over a sweep's points; null for the whole operation), and the
+instance process's peak resident set size
 (`ru_maxrss`; the largest of the first-call interpreters). It also
 names the machine. Run it against one checkout:
 
@@ -40,7 +44,9 @@ Each pair runs every instance on both checkouts, one right after the
 other, the parent first in odd pairs and the change first in even
 ones. The output holds the pairs and, per instance, a summary: each
 side's median and range of `cpu_s_median`, the median of the per-pair
-ratios change / parent, and in how many pairs the change read lower.
+ratios change / parent, in how many pairs the change read lower, and
+each side's distinct outcomes `[iterations, converged, relays]`, so that
+a row whose solve ends elsewhere is seen.
 `BENCH_solve.json` holds such a comparison.
 """
 
@@ -81,12 +87,27 @@ INSTANCES = (
     "random n=80 seed 1",
     "random n=320 seed 1",
     "relay n=9 seed 0 I_d sweep",
+    "relay n=9 seed 2",
+    "relay n=20 seed 0",
+    "relay n=20 seed 1",
+    "relay n=20 seed 2",
+    "relay n=40 seed 0",
+    "relay n=80 seed 0",
 )
+# `scenario.RELAY_SPEC`'s one field, written out: the harness also runs
+# against checkouts that predate the constant
+RELAY_R_P = (5.0, 4.0)
+
+
+def relays(report) -> int:
+    """Relay links of a report's final profile: targets other than the
+    access point, whose index is the device count."""
+    return int(np.count_nonzero(np.asarray(report.targets) != len(report.targets)))
 
 
 def build(name: str, tmp: Path):
     """(n, run) of the instance `name`, from the fedrelay on this process's
-    path; `run()` makes one sample and returns (rounds, converged)."""
+    path; `run()` makes one sample and returns (rounds, converged, relays)."""
     from fedrelay import cli
     from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
     from fedrelay.upper_level import solve_stackelberg
@@ -96,7 +117,7 @@ def build(name: str, tmp: Path):
         def run():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main(CLI_SOLVE + [str(next(fresh_dirs))])
-            return None, code == 0
+            return None, code == 0, None
 
         return 9, run
     if name == "paper9 seed 7 write_solve_artifacts":
@@ -106,13 +127,11 @@ def build(name: str, tmp: Path):
 
         def run():
             cli.write_solve_artifacts(next(fresh_dirs), report, scen, cfg)
-            return report.iterations, report.converged
+            return report.iterations, report.converged, relays(report)
 
         return 9, run
     if name == "relay n=9 seed 0 I_d sweep":
-        # `scenario.RELAY_SPEC`, written out: the harness also runs against
-        # checkouts that predate the constant
-        scen = random_scenario(9, 0, RandomSpec(r_p=(5.0, 4.0)))
+        scen = random_scenario(9, 0, RandomSpec(r_p=RELAY_R_P))
         reports = []
 
         class SweepSettings(cli.RunConfig):
@@ -131,17 +150,21 @@ def build(name: str, tmp: Path):
             reports.clear()
             for v in SWEEP_I_D:
                 cli.sweep_rows(scen, "I_d", v, settings)
-            return sum(r.iterations for r in reports), all(r.converged for r in reports)
+            return (
+                sum(r.iterations for r in reports), all(r.converged for r in reports), sum(map(relays, reports))
+            )
 
         return 9, run
     if name == "paper9 seed 7":
         scen = paper9_scenario(7)
     else:
-        scen = random_scenario(int(name.split()[1].removeprefix("n=")), 1)
+        kind, n, _, seed = name.split()
+        spec = RandomSpec(r_p=RELAY_R_P) if kind == "relay" else RandomSpec()
+        scen = random_scenario(int(n.removeprefix("n=")), int(seed), spec)
 
     def run():
         report = solve_stackelberg(scen)
-        return report.iterations, report.converged
+        return report.iterations, report.converged, relays(report)
 
     return scen.n_devices, run
 
@@ -155,7 +178,7 @@ def measure(name: str) -> dict:
         samples: list[float] = []
         while not samples or name != FIRST_CALL and (len(samples) < MIN_SAMPLES or sum(samples) < MIN_CPU_S):
             start = time.process_time()
-            iterations, converged = run()
+            iterations, converged, relay_links = run()
             samples.append(time.process_time() - start)
     return {
         "instance": name,
@@ -165,6 +188,7 @@ def measure(name: str) -> dict:
         "samples": len(samples),
         "iterations": iterations,
         "converged": converged,
+        "relays": relay_links,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -242,6 +266,10 @@ def summary(pairs: list[dict]) -> dict:
             "median_pair_ratio": statistics.median(c / p for p, c in zip(cpu["parent"], cpu["change"])),
             "change_lower_in_pairs": sum(c < p for p, c in zip(cpu["parent"], cpu["change"])),
             **{f"{side}_peak_rss_mb_range": [min(v), max(v)] for side, v in rss.items()},
+            **{
+                f"{side}_outcomes": sorted({(r["iterations"], r["converged"], r["relays"]) for r in rs}, key=str)
+                for side, rs in runs.items()
+            },
         }
     return out
 
