@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._ziggurat import FI, KI, R, R_INV, WI
+
 # Relative floor for the price domain: q_min = PRICE_FLOOR_SCALE * min_i(c_i * b_i).
 # A strictly positive floor keeps the follower's log response finite.
 PRICE_FLOOR_SCALE = 1e-6
@@ -119,6 +121,12 @@ class Scenario:
     c_a: float
 
     def __post_init__(self):
+        try:
+            self._build()
+        except MemoryError as exc:  # an (n+1) x (n+1) matrix past memory
+            raise ScenarioError(f"too many devices for one scenario: n={len(self.devices)}") from exc
+
+    def _build(self):
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
         n = len(self.devices)
@@ -274,16 +282,17 @@ class RandomSpec:
 RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 
 
-_M32, _M53, _M64, _M128 = ((1 << b) - 1 for b in (32, 53, 64, 128))
+_M32, _M52, _M53, _M64, _M128 = ((1 << b) - 1 for b in (32, 52, 53, 64, 128))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL_STEPS = [(k, d) for k in range(4) for d in range(4) if k != d]
 
 
 class _PCG64:
     """The stream of `np.random.default_rng(seed)` for an integer seed, in
-    pure Python, so that drawing positions never imports `numpy.random`:
-    numpy's SeedSequence hashing (a pool of 4 words, `generate_state(4,
-    uint64)`) seeds a 128-bit PCG64 with XSL-RR output (O'Neill, 2014)."""
+    pure Python, so that no scenario build imports `numpy.random`: numpy's
+    SeedSequence hashing (a pool of 4 words, `generate_state(4, uint64)`)
+    seeds a 128-bit PCG64 with XSL-RR output (O'Neill, 2014), and `normal`
+    is numpy's ziggurat (Marsaglia and Tsang, 2000)."""
 
     def __init__(self, seed: int):
         words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
@@ -312,14 +321,41 @@ class _PCG64:
         self.inc = (u[2] << 64 | u[3]) << 1 & _M128 | 1
         self.state = ((self.inc + (u[0] << 64 | u[1])) * _PCG_MULT + self.inc) & _M128
 
+    def _next64(self) -> int:
+        """Step the generator; its XSL-RR output word."""
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x = (s >> 64 ^ s) & _M64  # XSL; then rotate right by s >> 122
+        return (x | x << 64) >> (s >> 122) & _M64
+
+    def _double(self) -> float:
+        """One draw on [0, 1), as numpy's `next_double`."""
+        return (self._next64() >> 11) * 2.0**-53
+
     def uniform(self, low: float, high: float, count: int) -> list[float]:
         """`count` draws of `Generator.uniform(low, high)`, bit for bit."""
-        s, inc, scale, out = self.state, self.inc, (high - low) * 2.0**-53, []
-        for _ in range(count):
-            s = (s * _PCG_MULT + inc) & _M128
-            x = (s >> 64 ^ s) & _M64  # XSL; then rotate right by s >> 122, keep the top 53 bits
-            out.append(low + scale * ((x | x << 64) >> ((s >> 122) + 11) & _M53))
-        self.state = s
+        scale = (high - low) * 2.0**-53
+        return [low + scale * (self._next64() >> 11) for _ in range(count)]
+
+    def normal(self, mean: float, std: float, count: int) -> list[float]:
+        """`count` draws of `Generator.normal(mean, std)`, bit for bit: numpy's
+        ziggurat on its own tables (`_ziggurat`), one 64-bit word a try."""
+        out: list[float] = []
+        while len(out) < count:
+            r = self._next64()
+            idx, rabs = r & 0xFF, r >> 9 & _M52  # a layer, a sign bit, then 52 bits
+            x = rabs * WI[idx]
+            if r & 0x100:
+                x = -x
+            if rabs < KI[idx]:  # inside the layer's rectangle: 99% of draws
+                out.append(mean + std * x)
+            elif idx == 0:  # the base layer's tail beyond R
+                xx = yy = 0.0
+                while yy + yy <= xx * xx:
+                    xx = -R_INV * math.log1p(-self._double())
+                    yy = -math.log1p(-self._double())
+                out.append(mean + std * (-(R + xx) if rabs >> 8 & 1 else R + xx))
+            elif (FI[idx - 1] - FI[idx]) * self._double() + FI[idx] < math.exp(-0.5 * x * x):
+                out.append(mean + std * x)  # under the density in the layer's wedge
         return out
 
 
@@ -338,12 +374,12 @@ def _seeded_scenario(
         raise ScenarioError(f"need at least one device, got n={n}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
-    try:
-        positions = np.empty((n + 1, 2))
-    except ValueError as exc:  # past numpy's array limits, before any allocation
+    try:  # can the (n+1) x (n+1) gain matrix be allocated? Asked before any draw
+        np.empty((n + 1, n + 1))
+    except (ValueError, MemoryError) as exc:  # past numpy's array limits, or past memory
         raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
     rng = _PCG64(int(seed))
-    positions.flat = rng.uniform(0.0, AREA, positions.size)
+    positions = np.reshape(rng.uniform(0.0, AREA, 2 * (n + 1)), (n + 1, 2))
     c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
     cb = acc_c * acc_a
     q_lo = _price_floor(cb)
@@ -392,13 +428,9 @@ def paper9_scenario(seed: int) -> Scenario:
 def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scenario:
     """Seeded random instance: uniform positions, Gaussian device parameters."""
 
-    def draw(stream: _PCG64) -> list[np.ndarray]:
-        bits = np.random.PCG64(0)  # continues the positions' stream, in numpy
-        pcg = {"state": stream.state, "inc": stream.inc}
-        bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        rng = np.random.Generator(bits)
+    def draw(stream: _PCG64) -> list[list[float]]:
         dists = (spec.c_t, spec.c_p, spec.r_p, spec.T_a, spec.acc_a, spec.acc_c)
-        return [np.maximum(rng.normal(mean, std, size=n), DRAW_FLOOR) for mean, std in dists]
+        return [[max(x, DRAW_FLOOR) for x in stream.normal(mean, std, n)] for mean, std in dists]
 
     return _seeded_scenario(n, seed, draw)
 

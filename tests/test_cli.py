@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedrelay import cli
+from fedrelay import cli, scenario
 from fedrelay.cli import RunConfig, main, reverify_unilateral_gain
 from fedrelay.radio import transmission_energy_cost
 from fedrelay.scenario import (
@@ -513,6 +513,29 @@ def test_random_beyond_array_limit_exits_2(tmp_path, capsys, argv):
     assert "too many devices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_random_past_memory_exits_2(tmp_path, capsys, command):
+    # 2**24 devices: the 2 PiB gain matrix fails to allocate under any
+    # overcommit policy, and it is checked before a single draw
+    argv = [command, "--random", str(2**24), "--seed", "1"]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "too many devices for one scenario: n=16777216" in capsys.readouterr().err
+
+
+def test_scenario_past_memory_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "scen.json"
+    save_scenario(paper9_scenario(7), path)
+
+    def refuse(positions):
+        raise MemoryError
+
+    monkeypatch.setattr(scenario, "_distance_matrix", refuse)
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert "too many devices for one scenario: n=9" in capsys.readouterr().err
+
+
 NUMPY_RANDOM_CHILD = """
 import contextlib, io, json, sys
 import numpy
@@ -527,11 +550,12 @@ print(json.dumps([bare, codes, loaded]))
 """
 
 
-def test_paper9_runs_leave_numpy_random_unloaded(tmp_path):
+def test_runs_leave_numpy_random_unloaded(tmp_path):
     runs = [
         ["solve", "--preset", "paper9", "--seed", "7", "--out", str(tmp_path / "p9")],
         ["validate", "--preset", "paper9", "--seed", "7"],
         ["solve", "--random", "5", "--seed", "1", "--out", str(tmp_path / "r5")],
+        ["validate", "--random", "5", "--seed", "1"],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -543,8 +567,8 @@ def test_paper9_runs_leave_numpy_random_unloaded(tmp_path):
     bare, codes, loaded = json.loads(done.stdout)
     if bare:
         pytest.skip("a bare `import numpy` loads numpy.random (numpy < 2)")
-    assert codes == [0, 0, 0]
-    assert loaded == [False, False, True]  # the random scenario's Gaussian draw imports it
+    assert codes == [0, 0, 0, 0]
+    assert loaded == [False, False, False, False]
 
 
 def test_unknown_preset_rejected_in_library():

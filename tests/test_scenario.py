@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrelay import scenario as sc
+from fedrelay._ziggurat import R
 from fedrelay.scenario import (
     RELAY_SPEC,
     AccuracyModel,
@@ -168,6 +170,33 @@ def test_random_scenario_equals_default_rng_oracle(n, spec):
         )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 5, 10**40])
+def test_normal_is_default_rng_stream(seed):
+    # 30 000 draws a seed, 2.1e5 in all; each seed's stream reaches the tail
+    # beyond R, and the equal states show that the rejections and the tail
+    # consumed the same words as numpy's
+    mine, ref = sc._PCG64(seed), np.random.default_rng(seed)
+    draws = mine.normal(0.0, 1.0, 30_000)
+    assert draws == ref.normal(0.0, 1.0, 30_000).tolist()
+    assert max(map(abs, draws)) > R
+    assert mine.state == ref.bit_generator.state["state"]["state"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**128),
+    mean=st.floats(-1e100, 1e100),
+    std=st.floats(0.0, 1e100),
+    count=st.integers(0, 50),
+)
+def test_normal_is_default_rng_stream_property(seed, mean, std, count):
+    mine, ref = sc._PCG64(seed), np.random.default_rng(seed)
+    assert [x.hex() for x in mine.normal(mean, std, count)] == [
+        x.hex() for x in ref.normal(mean, std, count).tolist()
+    ]
+    assert mine.state == ref.bit_generator.state["state"]["state"]
+
+
 def test_paper9_seed7_positions_pinned():
     want = [[float.fromhex(x) for x in row] for row in PAPER9_SEED7_POSITIONS]
     assert paper9_scenario(7).positions.tolist() == want
@@ -184,6 +213,15 @@ def test_seed_must_be_a_non_negative_integer(seed):
 def test_numpy_integer_seed_is_its_value():
     assert scenario_to_dict(paper9_scenario(np.int64(7))) == scenario_to_dict(paper9_scenario(7))
     assert scenario_to_dict(random_scenario(6, np.uint64(3))) == scenario_to_dict(random_scenario(6, 3))
+
+
+def test_scenario_past_memory_is_scenario_error(monkeypatch):
+    def refuse(positions):
+        raise MemoryError
+
+    monkeypatch.setattr(sc, "_distance_matrix", refuse)
+    with pytest.raises(ScenarioError, match=r"too many devices for one scenario: n=1$"):
+        make_scenario([[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_generated_scenarios_pass_invariants():

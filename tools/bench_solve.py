@@ -9,6 +9,8 @@ The instances:
 - the same operation as the first `cli.main` call of a fresh interpreter
   (`fedrelay.cli` imported before the timer starts), as in a one-shot
   shell run: one sample per interpreter, in 30 interpreters;
+- `fedrelay solve --random 16 --seed 1 --max-iter 8 --out <fresh dir>`,
+  perfbench's scale operation, in process like the paper9 one;
 - `solve_stackelberg` with the default settings (certificate included)
   on paper9 seed 7, on `random_scenario(n, 1)` for n = 20, 40, 80 and
   320, and in the relay regime, `random_scenario(n, seed, RELAY_SPEC)`,
@@ -74,12 +76,16 @@ import numpy as np
 MIN_SAMPLES = 3
 MIN_CPU_S = 2.0
 SWEEP_I_D = (0.05, 0.1, 0.2, 0.4)
-CLI_SOLVE = ["solve", "--preset", "paper9", "--seed", "7", "--out"]
+CLI_SOLVES = {  # name: (n, argv up to its fresh --out directory)
+    "paper9 seed 7 cli solve": (9, ["solve", "--preset", "paper9", "--seed", "7", "--out"]),
+    "random n=16 seed 1 cli solve": (16, ["solve", "--random", "16", "--seed", "1", "--max-iter", "8", "--out"]),
+}
 FIRST_CALL = "paper9 seed 7 cli solve, first call"
 FIRST_CALL_INTERPRETERS = 30
 INSTANCES = (
     "paper9 seed 7 cli solve",
     FIRST_CALL,
+    "random n=16 seed 1 cli solve",
     "paper9 seed 7",
     "paper9 seed 7 write_solve_artifacts",
     "random n=20 seed 1",
@@ -113,13 +119,15 @@ def build(name: str, tmp: Path):
     from fedrelay.upper_level import solve_stackelberg
 
     fresh_dirs = (tmp / f"out{k}" for k in itertools.count())
-    if name in ("paper9 seed 7 cli solve", FIRST_CALL):
+    if name in CLI_SOLVES or name == FIRST_CALL:
+        n, argv = CLI_SOLVES["paper9 seed 7 cli solve" if name == FIRST_CALL else name]
+
         def run():
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(CLI_SOLVE + [str(next(fresh_dirs))])
+                code = cli.main(argv + [str(next(fresh_dirs))])
             return None, code == 0, None
 
-        return 9, run
+        return n, run
     if name == "paper9 seed 7 write_solve_artifacts":
         scen = paper9_scenario(7)
         report = solve_stackelberg(scen)
