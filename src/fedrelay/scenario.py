@@ -282,7 +282,7 @@ class RandomSpec:
 RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 
 
-_M32, _M52, _M53, _M64, _M128 = ((1 << b) - 1 for b in (32, 52, 53, 64, 128))
+_M32, _M52, _M64, _M128 = ((1 << b) - 1 for b in (32, 52, 64, 128))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL_STEPS = [(k, d) for k in range(4) for d in range(4) if k != d]
 
@@ -379,7 +379,7 @@ def _seeded_scenario(
     except (ValueError, MemoryError) as exc:  # past numpy's array limits, or past memory
         raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
     rng = _PCG64(int(seed))
-    positions = np.reshape(rng.uniform(0.0, AREA, 2 * (n + 1)), (n + 1, 2))
+    positions = np.array(rng.uniform(0.0, AREA, 2 * (n + 1))).reshape(n + 1, 2)
     c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
     cb = acc_c * acc_a
     q_lo = _price_floor(cb)

@@ -502,26 +502,19 @@ def test_solve_rejects_power_grid_below_one(tmp_path, capsys, grid):
     [
         ["solve", "--random", str(10**30), "--seed", "1"],
         ["validate", "--random", str(2**62), "--seed", "1"],
+        ["solve", "--random", str(2**24), "--seed", "1"],
+        ["validate", "--random", str(2**24), "--seed", "1"],
     ],
-    ids=["solve_1e30", "validate_2e62"],
+    ids=["solve_1e30", "validate_2e62", "solve_2e24", "validate_2e24"],
 )
 def test_random_beyond_array_limit_exits_2(tmp_path, capsys, argv):
-    # numpy refuses both sizes before allocating anything
+    # numpy refuses the first two sizes before allocating anything; at 2**24
+    # the 2 PiB gain matrix fails to allocate under any overcommit policy,
+    # and it is tried before a single draw
     if argv[0] == "solve":
         argv = [*argv, "--out", str(tmp_path / "run")]
     assert main(argv) == 2
-    assert "too many devices" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["solve", "validate"])
-def test_random_past_memory_exits_2(tmp_path, capsys, command):
-    # 2**24 devices: the 2 PiB gain matrix fails to allocate under any
-    # overcommit policy, and it is checked before a single draw
-    argv = [command, "--random", str(2**24), "--seed", "1"]
-    if command == "solve":
-        argv += ["--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    assert "too many devices for one scenario: n=16777216" in capsys.readouterr().err
+    assert f"too many devices for one scenario: n={argv[2]}" in capsys.readouterr().err
 
 
 def test_scenario_past_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -215,15 +215,6 @@ def test_numpy_integer_seed_is_its_value():
     assert scenario_to_dict(random_scenario(6, np.uint64(3))) == scenario_to_dict(random_scenario(6, 3))
 
 
-def test_scenario_past_memory_is_scenario_error(monkeypatch):
-    def refuse(positions):
-        raise MemoryError
-
-    monkeypatch.setattr(sc, "_distance_matrix", refuse)
-    with pytest.raises(ScenarioError, match=r"too many devices for one scenario: n=1$"):
-        make_scenario([[0.0, 0.0], [1.0, 0.0]])
-
-
 def test_generated_scenarios_pass_invariants():
     # construction re-runs every invariant, so surviving it is the check
     for seed in range(25):
