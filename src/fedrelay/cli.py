@@ -30,6 +30,7 @@ from . import lower_level, radio, routing
 from .scenario import (
     Scenario,
     ScenarioError,
+    json_text,
     paper9_scenario,
     random_scenario,
     scenario_from_dict,
@@ -159,10 +160,6 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
-def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def equilibrium_rows(report: EquilibriumReport) -> list[tuple]:
     """One row per device, in the order of EQUILIBRIUM_COLUMNS."""
     n = len(report.prices)
@@ -190,7 +187,7 @@ def write_solve_artifacts(out_dir: Path, report: EquilibriumReport, scen: Scenar
         "config": cfg.to_dict(),
         "report": report.to_dict(),
     }
-    _atomic_write(out_dir / "report.json", _json_text(payload))
+    _atomic_write(out_dir / "report.json", json_text(payload))
 
 
 def reverify_unilateral_gain(path: str | os.PathLike) -> tuple[float, float]:
@@ -266,7 +263,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     report = cfg.solve(scen)
     write_solve_artifacts(Path(cfg.out_dir), report, scen, cfg)
     if cfg.fmt == "json":
-        print(_json_text(report.to_dict()), end="")
+        print(json_text(report.to_dict()), end="")
     elif cfg.fmt == "csv":
         print(_csv_text(EQUILIBRIUM_COLUMNS, equilibrium_rows(report)), end="")
     else:

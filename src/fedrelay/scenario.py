@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -109,7 +109,8 @@ class Scenario:
     """Full problem instance: devices, geometry, and wireless constants.
 
     `H`, the effective gain matrix, and `q_floor`, the price floor, are
-    built and checked at construction; `H` is read-only.
+    built and checked at construction. `positions` and `h` are kept as
+    copies of the arrays passed; they and `H` are read-only.
     """
 
     devices: tuple[DeviceParams, ...]
@@ -128,26 +129,30 @@ class Scenario:
 
     def _build(self):
         object.__setattr__(self, "devices", tuple(self.devices))
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
+        positions = np.array(self.positions, dtype=float)
+        positions.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
         n = len(self.devices)
         if n < 1:
             raise ScenarioError("scenario needs at least one device")
-        if self.positions.shape != (n + 1, 2):
+        if positions.shape != (n + 1, 2):
             raise ScenarioError(
                 f"positions must have shape ({n + 1}, 2) for {n} devices plus the access point"
             )
-        if not np.all(np.isfinite(self.positions)):
+        if not np.isfinite(positions).all():
             raise ScenarioError("node positions must be finite")
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
         if h.ndim == 0:
             h = np.full((n + 1, n + 1), float(h))
+        h.setflags(write=False)
         object.__setattr__(self, "h", h)
         if h.shape != (n + 1, n + 1):
             raise ScenarioError(f"h must be scalar or ({n + 1}, {n + 1}), got {h.shape}")
         off = ~np.eye(n + 1, dtype=bool)
-        if not np.all((h[off] > 0) & (h[off] < math.inf)):
+        h_off = h[off]
+        if not ((h_off > 0) & (h_off < math.inf)).all():
             raise ScenarioError("off-diagonal channel gains h_ij must be positive and finite")
-        if not np.all(np.isfinite(h.diagonal())):  # never a link, but written to report.json
+        if not np.isfinite(h.diagonal()).all():  # never a link, but written to report.json
             raise ScenarioError("diagonal channel gains h_ii must be finite")
         _check("path-loss exponent alpha", self.alpha, ALPHA_MIN, at_least=True, at_most=ALPHA_MAX)
         _check("noise power sigma2", self.sigma2, SIGMA2_MIN, at_least=True, at_most=SIGMA2_MAX)
@@ -156,17 +161,18 @@ class Scenario:
         # bounds the owner's utility, a sum of terms within [a_i - b_i, a_i]
         if not math.isfinite(sum(d.accuracy.a + d.accuracy.b for d in self.devices)):
             raise ScenarioError("accuracy coefficients overflow: the sum of a + b is not finite")
-        _, b, c = self.accuracy_coeffs()
-        q_lo = _price_floor(c * b)  # every device's price domain [q_lo, q_max] must not be empty
+        # every device's price domain [q_lo, q_max] must not be empty
+        q_lo = _price_floor(float(d.accuracy.c) * float(d.accuracy.b) for d in self.devices)
         if any(dev.q_max < q_lo for dev in self.devices):
             raise ScenarioError(f"device parameter q_max must be >= the price floor {q_lo:g}")
         object.__setattr__(self, "q_floor", q_lo)
-        d = _distance_matrix(self.positions)
-        if np.any(d[off] == 0.0):
+        d = _distance_matrix(positions)
+        d_off = d[off]
+        if (d_off == 0.0).any():
             raise ScenarioError("node positions must be pairwise distinct")
         try:
             with np.errstate(over="raise"):
-                loss = d[off] ** self.alpha
+                loss = d_off ** self.alpha
         except FloatingPointError:
             raise ScenarioError(
                 f"node positions are too far apart for path-loss exponent alpha = "
@@ -174,16 +180,16 @@ class Scenario:
             ) from None
         H = d  # H_ij = h_ij / d_ij ** alpha off the diagonal; d's diagonal is 0
         with np.errstate(all="ignore"):
-            H[off] = h[off] / loss
+            H[off] = h_off / loss
             # received power at full power over the noise, without interference; no
             # matmul, since a solve calls BLAS nowhere else and its first call costs memory
             sinr = (self.param("p_max")[:, None] * H[:n]).sum(axis=0) / self.sigma2
-        if not np.all(np.isfinite(H)):
+        if not np.isfinite(H).all():
             raise ScenarioError(
                 f"node positions are too close for path-loss exponent alpha = {self.alpha:g}: "
                 "a channel gain h_ij / d_ij ** alpha is not finite"
             )
-        if not np.all(np.isfinite(sinr)):
+        if not np.isfinite(sinr).all():
             raise ScenarioError(
                 f"received power overflows at node {int(np.argmin(np.isfinite(sinr)))}: "
                 "the sum over the devices k of H_kj * p_max_k, over sigma2, is not finite"
@@ -229,8 +235,9 @@ def _distance_matrix(positions: np.ndarray) -> np.ndarray:
     return np.sqrt(squared)
 
 
-def _price_floor(cb: np.ndarray) -> float:
-    return PRICE_FLOOR_SCALE * float(np.min(cb))
+def _price_floor(cb: Iterable[float]) -> float:
+    """The price floor of devices whose accuracy products c * b are `cb`."""
+    return PRICE_FLOOR_SCALE * min(cb)
 
 
 def price_floor(scen: Scenario) -> float:
@@ -359,17 +366,40 @@ class _PCG64:
         return out
 
 
-def _seeded_scenario(
-    n: int, seed: int, columns: Callable[[_PCG64], Sequence[Sequence[float]]]
-) -> Scenario:
-    """Instance with node positions uniform on [0, AREA]^2, drawn first
-    from `seed` as `np.random.default_rng(seed)` draws them, the device
-    columns (c_t, c_p, r_p, T_a, acc_a, acc_c) that `columns` returns from
-    the same stream, and the module's wireless constants.
+def _devices(columns: Sequence[Sequence[float]]) -> tuple[DeviceParams, ...]:
+    """Devices from the columns (c_t, c_p, r_p, T_a, acc_a, acc_c), one
+    entry per device, with the module's bandwidth and power cap.
 
     Accuracy b equals a; price caps sit at c*b and demand caps bind only at
     the price floor.
     """
+    c_t, c_p, r_p, T_a, acc_a, acc_c = ([float(x) for x in col] for col in columns)
+    cb = [c * a for a, c in zip(acc_a, acc_c)]
+    q_lo = _price_floor(cb)
+    return tuple(
+        DeviceParams(
+            c_p=cp,
+            c_t=ct,
+            r_p=rp,
+            T_a=ta,
+            w=W,
+            accuracy=AccuracyModel(a=a, b=a, c=c),
+            # math.log, not np.log, so that the caps are the same on every CPU
+            s_max=math.log(x / q_lo) / c,
+            q_max=x,
+            p_max=P_MAX,
+        )
+        for ct, cp, rp, ta, a, c, x in zip(c_t, c_p, r_p, T_a, acc_a, acc_c, cb)
+    )
+
+
+def _seeded_scenario(
+    n: int, seed: int, devices: Callable[[_PCG64], tuple[DeviceParams, ...]]
+) -> Scenario:
+    """Instance of the `n` devices that `devices` returns from the stream of
+    `seed`, after the node positions, uniform on [0, AREA]^2, are drawn
+    from it as `np.random.default_rng(seed)` draws them; with the module's
+    wireless constants."""
     if n < 1:
         raise ScenarioError(f"need at least one device, got n={n}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
@@ -380,27 +410,9 @@ def _seeded_scenario(
         raise ScenarioError(f"too many devices for one scenario: n={n}") from exc
     rng = _PCG64(int(seed))
     positions = np.array(rng.uniform(0.0, AREA, 2 * (n + 1))).reshape(n + 1, 2)
-    c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in columns(rng))
-    cb = acc_c * acc_a
-    q_lo = _price_floor(cb)
-    # math.log, not np.log, so that the caps are the same on every CPU
-    s_max = [math.log(x / q_lo) / c for x, c in zip(cb.tolist(), acc_c.tolist())]
-    devices = tuple(
-        DeviceParams(
-            c_p=float(c_p[i]),
-            c_t=float(c_t[i]),
-            r_p=float(r_p[i]),
-            T_a=float(T_a[i]),
-            w=W,
-            accuracy=AccuracyModel(a=float(acc_a[i]), b=float(acc_a[i]), c=float(acc_c[i])),
-            s_max=float(s_max[i]),
-            q_max=float(cb[i]),
-            p_max=P_MAX,
-        )
-        for i in range(n)
-    )
     return Scenario(
-        devices=devices, positions=positions, h=H_GAIN, alpha=ALPHA, sigma2=SIGMA2, I_d=I_D, c_a=C_A
+        devices=devices(rng), positions=positions, h=H_GAIN, alpha=ALPHA, sigma2=SIGMA2,
+        I_d=I_D, c_a=C_A,
     )
 
 
@@ -414,15 +426,18 @@ _P9_COLUMNS = (
     (9.78, 9.15, 11.35, 11.17, 12.7, 9.15, 12.38, 13.5, 10.59),
     (15.28, 9.17, 14.31, 11.21, 9.12, 13.61, 13.27, 9.63, 14.32),
 )
+# built once: paper9 scenarios differ only in their positions, and the devices are frozen
+_P9_DEVICES = _devices(_P9_COLUMNS)
 
 
 def paper9_scenario(seed: int) -> Scenario:
     """The bundled 9-device benchmark scenario.
 
-    All device parameters are fixed; node positions are uniform on
-    [0, 10]^2 and depend only on `seed`.
+    All device parameters are fixed, one device tuple shared by every
+    paper9 scenario; node positions are uniform on [0, 10]^2 and depend
+    only on `seed`.
     """
-    return _seeded_scenario(len(_P9_COLUMNS[0]), seed, lambda rng: _P9_COLUMNS)
+    return _seeded_scenario(len(_P9_DEVICES), seed, lambda rng: _P9_DEVICES)
 
 
 def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scenario:
@@ -432,7 +447,7 @@ def random_scenario(n: int, seed: int, spec: RandomSpec = RandomSpec()) -> Scena
         dists = (spec.c_t, spec.c_p, spec.r_p, spec.T_a, spec.acc_a, spec.acc_c)
         return [[max(x, DRAW_FLOOR) for x in stream.normal(mean, std, n)] for mean, std in dists]
 
-    return _seeded_scenario(n, seed, draw)
+    return _seeded_scenario(n, seed, lambda rng: _devices(draw(rng)))
 
 
 # the scalar wireless constants of the config file's "global" section, beside "h"
@@ -481,10 +496,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"malformed scenario config: {exc}") from exc
 
 
+def json_text(data: dict) -> str:
+    """The JSON text of scenario files and run artifacts: indented, keys sorted."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def save_scenario(scen: Scenario, path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scen), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(scenario_to_dict(scen)))
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:

@@ -13,7 +13,9 @@ them, for the tests that hold the dynamics against exhaustive scans. The
 enumerator `pure_equilibria` lists every pure equilibrium of a small
 scenario, the ground truth a solve's profile must belong to.
 `default_rng_scenario` builds a random scenario with numpy's own
-`default_rng`, the reference for the library's pure-Python stream.
+`default_rng`, the reference for the library's pure-Python stream;
+`paper9_per_call` builds paper9 the same way, its nine devices rebuilt on
+every call, the reference for the library's shared device table.
 """
 
 from __future__ import annotations
@@ -373,6 +375,29 @@ def default_rng_scenario(n: int, seed, spec: RandomSpec = RandomSpec()) -> Scena
         devices=devices, positions=positions, h=sc.H_GAIN, alpha=sc.ALPHA, sigma2=sc.SIGMA2,
         I_d=sc.I_D, c_a=sc.C_A,
     )
+
+
+def paper9_per_call(seed) -> tuple[Scenario, float]:
+    """`paper9_scenario(seed)` with its devices rebuilt from `_P9_COLUMNS` in
+    numpy columns and its positions drawn by `np.random.default_rng(seed)`,
+    and the price floor that numpy's minimum of the c * b column gives."""
+    c_t, c_p, r_p, T_a, acc_a, acc_c = (np.asarray(col, dtype=float) for col in sc._P9_COLUMNS)
+    cb = acc_c * acc_a
+    q_lo = sc.PRICE_FLOOR_SCALE * float(np.min(cb))
+    s_max = [math.log(x / q_lo) / c for x, c in zip(cb.tolist(), acc_c.tolist())]
+    devices = tuple(
+        DeviceParams(
+            c_p=float(c_p[i]), c_t=float(c_t[i]), r_p=float(r_p[i]), T_a=float(T_a[i]), w=sc.W,
+            accuracy=AccuracyModel(a=float(acc_a[i]), b=float(acc_a[i]), c=float(acc_c[i])),
+            s_max=float(s_max[i]), q_max=float(cb[i]), p_max=sc.P_MAX,
+        )
+        for i in range(len(cb))
+    )
+    scen = Scenario(
+        devices=devices, positions=default_rng_positions(len(devices), seed), h=sc.H_GAIN,
+        alpha=sc.ALPHA, sigma2=sc.SIGMA2, I_d=sc.I_D, c_a=sc.C_A,
+    )
+    return scen, q_lo
 
 
 def fresh_best_response(i, profile, demand, scen, M: float, power_grid: int = 50):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,13 @@ from fedrelay.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from support import default_rng_positions, default_rng_scenario, make_device, make_scenario
+from support import (
+    default_rng_positions,
+    default_rng_scenario,
+    make_device,
+    make_scenario,
+    paper9_per_call,
+)
 
 # paper9 seed 7's node positions, numpy's default_rng(7) stream, pinned so
 # that the acceptance data cannot drift with the numpy installed
@@ -68,8 +75,89 @@ def test_channel_matrix_matches_elementwise_oracle():
 
 
 def test_coincident_positions_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^node positions must be pairwise distinct$"):
         make_scenario([[1.0, 1.0], [1.0, 1.0]])
+
+
+_FAR = "node positions are too far apart"
+_CLOSE = (
+    "node positions are too close for path-loss exponent alpha = 2: "
+    "a channel gain h_ij / d_ij ** alpha is not finite"
+)
+_SINR = (
+    "received power overflows at node 0: "
+    "the sum over the devices k of H_kj * p_max_k, over sigma2, is not finite"
+)
+_TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+# each check of a scenario's construction, with its whole message
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(positions=[[0.0, 0.0]], devices=()), "scenario needs at least one device"),
+        (
+            dict(positions=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], devices=(make_device(),)),
+            "positions must have shape (2, 2) for 1 devices plus the access point",
+        ),
+        (dict(positions=[[0.0, 0.0], [math.nan, 0.0], [5.0, 5.0]]), "node positions must be finite"),
+        (dict(positions=[[0.0, 0.0], [0.0, -math.inf]]), "node positions must be finite"),
+        (dict(positions=_TRIANGLE, h=np.ones((2, 2))), "h must be scalar or (3, 3), got (2, 2)"),
+        (
+            dict(positions=_TRIANGLE, h=0.0),
+            "off-diagonal channel gains h_ij must be positive and finite",
+        ),
+        (
+            dict(positions=_TRIANGLE, alpha=7.0),
+            "path-loss exponent alpha must be finite and >= 2 and <= 6, got 7.0",
+        ),
+        (
+            dict(positions=_TRIANGLE, a=1e308, b=1.0),
+            "accuracy coefficients overflow: the sum of a + b is not finite",
+        ),
+        (
+            dict(positions=_TRIANGLE, devices=(make_device(q_max=1e-9), make_device())),
+            "device parameter q_max must be >= the price floor 0.00012",
+        ),
+        (dict(positions=[[1.0, 1.0], [1.0, 1.0]]), "node positions must be pairwise distinct"),
+        # 1e-170 squared underflows to 0: a zero distance, not an infinite gain
+        (
+            dict(positions=[[0.0, 0.0], [1e-170, 0.0], [5.0, 5.0]]),
+            "node positions must be pairwise distinct",
+        ),
+        (dict(positions=[[0.0, 0.0], [1e200, 0.0]]), f"{_FAR}: a squared distance overflows"),
+        (
+            dict(positions=[[0.0, 0.0], [1e60, 0.0]], alpha=6.0),
+            f"{_FAR} for path-loss exponent alpha = 6: a distance ** alpha overflows",
+        ),
+        (dict(positions=[[0.0, 0.0], [1e-160, 0.0], [5.0, 5.0]]), _CLOSE),
+        (dict(positions=_TRIANGLE, p_max=1e308), _SINR),
+    ],
+    ids=[
+        "no_devices", "shape", "nan_position", "infinite_position", "h_shape", "zero_gain",
+        "alpha", "accuracy_sum", "q_max", "coincident", "squared_underflow", "squared_overflow",
+        "path_loss_overflow", "too_close", "received_power",
+    ],
+)
+def test_build_rejection_message(kwargs, message):
+    with pytest.raises(ScenarioError) as caught:
+        make_scenario(**kwargs)
+    assert str(caught.value) == message
+
+
+def test_scenario_keeps_read_only_copies_of_its_arrays():
+    positions = paper9_scenario(7).positions.copy()
+    h = np.full((10, 10), 10.0)
+    scen = dataclasses.replace(paper9_scenario(7), positions=positions, h=h)
+    want = scenario_to_dict(scen)
+    positions[0, 0] = 5.0
+    h[0, 1] = 1.0
+    assert scenario_to_dict(scen) == want
+    assert np.array_equal(scen.H, build_channel_matrix(paper9_scenario(7)))
+    for array in (scen.positions, scen.h):
+        with pytest.raises(ValueError):
+            array[0, 1] = 2.0
+    assert positions.flags.writeable and h.flags.writeable  # the caller's arrays stay writable
 
 
 @pytest.mark.parametrize("gain", [0.0, -1.0, math.inf, math.nan])
@@ -105,6 +193,19 @@ def test_paper9_values():
     assert all(d.w == 1.0 for d in scen.devices)
     assert all(d.p_max == 10.0 for d in scen.devices)
     assert np.all(scen.h[~np.eye(10, dtype=bool)] == 10.0)
+
+
+def test_paper9_devices_are_one_shared_table():
+    assert paper9_scenario(7).devices is paper9_scenario(0).devices
+    assert paper9_scenario(7).devices is sc._P9_DEVICES
+
+
+@pytest.mark.parametrize("seed", [*range(64), 2**64 + 5])
+def test_paper9_equals_per_call_reference(seed):
+    want, q_floor = paper9_per_call(seed)
+    scen = paper9_scenario(seed)
+    assert scenario_to_dict(scen) == scenario_to_dict(want)
+    assert scen.q_floor == q_floor
 
 
 def test_paper9_positions_seeded():
@@ -312,6 +413,8 @@ def test_serialization_round_trip(tmp_path):
     scen = paper9_scenario(11)
     path = tmp_path / "scenario.json"
     save_scenario(scen, path)
+    want = json.dumps(scenario_to_dict(scen), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
     loaded = load_scenario(path)
     assert scenario_to_dict(loaded) == scenario_to_dict(scen)
     assert loaded.devices == scen.devices
@@ -324,6 +427,8 @@ def test_serialization_round_trip_full_h_matrix(tmp_path):
     scen = make_scenario([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], h=h)
     path = tmp_path / "scenario.json"
     save_scenario(scen, path)
+    want = json.dumps(scenario_to_dict(scen), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
     loaded = load_scenario(path)
     assert np.array_equal(loaded.h, scen.h)
 

@@ -20,7 +20,11 @@ The instances:
   timer starts;
 - a 4-point sweep, I_d = 0.05, 0.1, 0.2 and 0.4 on the relay-spec
   `random_scenario(9, 0, RELAY_SPEC)`, each point solved by
-  `cli.sweep_rows` as `fedrelay sweep` solves it.
+  `cli.sweep_rows` as `fedrelay sweep` solves it;
+- three scenario builds, `paper9_scenario(7)`, `random_scenario(16, 1)`
+  and `dataclasses.replace(paper9_scenario(7), I_d=0.2)` (the rebuild a
+  sweep point makes), each timed as CPU time per build over batches of
+  BUILDS_PER_SAMPLE builds.
 
 Each instance runs in a fresh interpreter, so no instance's heap or
 caches shape the timing of the next. It runs until it has at least 3
@@ -29,9 +33,10 @@ millisecond instance gets hundreds of samples; the first-call instance
 takes its one sample per interpreter. Per instance the output gives the
 median and the minimum CPU time, the sample count, the rounds
 (`iterations`, summed over a sweep's points; null for the whole
-operation), `converged` (all of a sweep's points; exit code 0 for the
-whole operation), the relay links of the final profile (`relays`,
-summed over a sweep's points; null for the whole operation), and the
+operation and a build), `converged` (all of a sweep's points; exit code
+0 for the whole operation; null for a build), the relay links of the
+final profile (`relays`, summed over a sweep's points; null for the
+whole operation and a build), and the
 instance process's peak resident set size
 (`ru_maxrss`; the largest of the first-call interpreters). It also
 names the machine. Run it against one checkout:
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -80,6 +86,12 @@ CLI_SOLVES = {  # name: (n, argv up to its fresh --out directory)
     "paper9 seed 7 cli solve": (9, ["solve", "--preset", "paper9", "--seed", "7", "--out"]),
     "random n=16 seed 1 cli solve": (16, ["solve", "--random", "16", "--seed", "1", "--max-iter", "8", "--out"]),
 }
+BUILDS = {  # name: n
+    "paper9_scenario(7)": 9,
+    "random_scenario(16, 1)": 16,
+    "dataclasses.replace(paper9_scenario(7), I_d=0.2)": 9,
+}
+BUILDS_PER_SAMPLE = 100
 FIRST_CALL = "paper9 seed 7 cli solve, first call"
 FIRST_CALL_INTERPRETERS = 30
 INSTANCES = (
@@ -99,6 +111,7 @@ INSTANCES = (
     "relay n=20 seed 2",
     "relay n=40 seed 0",
     "relay n=80 seed 0",
+    *BUILDS,
 )
 # `scenario.RELAY_SPEC`'s one field, written out: the harness also runs
 # against checkouts that predate the constant
@@ -128,6 +141,20 @@ def build(name: str, tmp: Path):
             return None, code == 0, None
 
         return n, run
+    if name in BUILDS:
+        paper9 = paper9_scenario(7)
+        make = {
+            "paper9_scenario(7)": lambda: paper9_scenario(7),
+            "random_scenario(16, 1)": lambda: random_scenario(16, 1),
+            "dataclasses.replace(paper9_scenario(7), I_d=0.2)": lambda: dataclasses.replace(paper9, I_d=0.2),
+        }[name]
+
+        def run():
+            for _ in range(BUILDS_PER_SAMPLE):
+                make()
+            return None, None, None
+
+        return BUILDS[name], run
     if name == "paper9 seed 7 write_solve_artifacts":
         scen = paper9_scenario(7)
         report = solve_stackelberg(scen)
@@ -179,7 +206,7 @@ def build(name: str, tmp: Path):
 
 def measure(name: str) -> dict:
     """Sample the instance `name` in this process; the first-call instance
-    takes one sample."""
+    takes one sample, and a build's CPU time is per build."""
     logging.disable(logging.WARNING)  # non-settling stages warn; the report says so
     with tempfile.TemporaryDirectory() as tmp:
         n, run = build(name, Path(tmp))
@@ -188,11 +215,12 @@ def measure(name: str) -> dict:
             start = time.process_time()
             iterations, converged, relay_links = run()
             samples.append(time.process_time() - start)
+    per = BUILDS_PER_SAMPLE if name in BUILDS else 1
     return {
         "instance": name,
         "n": n,
-        "cpu_s_median": statistics.median(samples),
-        "cpu_s_min": min(samples),
+        "cpu_s_median": statistics.median(samples) / per,
+        "cpu_s_min": min(samples) / per,
         "samples": len(samples),
         "iterations": iterations,
         "converged": converged,
