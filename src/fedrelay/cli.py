@@ -197,7 +197,7 @@ def reverify_unilateral_gain(path: str | os.PathLike) -> tuple[float, float]:
         payload = json.load(fh)
     scen = scenario_from_dict(payload["scenario"])
     r = payload["report"]
-    profile = StrategyProfile(r["prices"], r["targets"], r["powers"])
+    profile = _profile_from_json(r)
     m_schedule = tuple(payload["config"]["m_schedule"])
     power_grid = int(payload["config"]["power_grid"])
     gains = unilateral_gains(profile, scen, m_schedule[-1], power_grid=power_grid)
@@ -248,7 +248,12 @@ def cmd_validate(cfg: RunConfig, routing_path: str | None, profile_path: str | N
             profile.check_fits(scen)
             demand = lower_level.best_response_demand(profile.prices, scen)
             rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-            I = profile.indicator()
+            stalled = np.flatnonzero((profile.targets == scen.ap) & ~(rates > 0))
+            if len(stalled):
+                raise ValueError(
+                    f"device {stalled[0]} sends to the access point but has no positive transmission rate"
+                )
+            I = routing.plan_to_indicator(profile.targets, scen.n_nodes)
             feas, violations = routing.feasible(I, demand, rates, scen, PenaltyConfig.eps_feas)
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"profile {profile_path}: {exc}") from None

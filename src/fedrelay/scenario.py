@@ -168,8 +168,6 @@ class Scenario:
         object.__setattr__(self, "q_floor", q_lo)
         d = _distance_matrix(positions)
         d_off = d[off]
-        if (d_off == 0.0).any():
-            raise ScenarioError("node positions must be pairwise distinct")
         try:
             with np.errstate(over="raise"):
                 loss = d_off ** self.alpha
@@ -223,7 +221,9 @@ class Scenario:
 
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
     """Pairwise node distances; ScenarioError when a squared distance
-    overflows, which takes coordinates about 1e154 apart."""
+    overflows, which takes coordinates about 1e154 apart, or when two
+    nodes share their coordinates. Coincidence is read from the
+    coordinates: a distance under about 1e-162 squares to 0."""
     try:
         with np.errstate(over="raise"):
             diff = positions[:, None, :] - positions[None, :, :]
@@ -232,6 +232,8 @@ def _distance_matrix(positions: np.ndarray) -> np.ndarray:
         raise ScenarioError(
             "node positions are too far apart: a squared distance overflows"
         ) from None
+    if np.count_nonzero((diff == 0.0).all(axis=2)) > len(positions):  # the diagonal is all 0
+        raise ScenarioError("node positions must be pairwise distinct")
     return np.sqrt(squared)
 
 

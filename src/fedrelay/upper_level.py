@@ -77,7 +77,8 @@ class PenaltyConfig:
 
 @dataclass
 class StrategyProfile:
-    """Joint device strategy: prices plus one (target, power) link each."""
+    """Joint device strategy: prices plus one (target, power) link each,
+    every power positive."""
 
     prices: np.ndarray
     targets: np.ndarray
@@ -101,8 +102,8 @@ class StrategyProfile:
         for name in ("prices", "powers"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        if np.any(self.powers < 0):
-            raise ValueError("powers must be nonnegative")
+        if not np.all(self.powers > 0):
+            raise ValueError("powers must be positive")
         if np.any(self.targets == np.arange(n)):
             raise ValueError("a device cannot relay through itself")
 
@@ -120,13 +121,6 @@ class StrategyProfile:
                 raise ValueError(f"device {k} price {q:g} lies outside [{q_lo:g}, {d.q_max:g}]")
             if p > d.p_max:
                 raise ValueError(f"device {k} power {p:g} exceeds p_max {d.p_max:g}")
-
-    def indicator(self) -> np.ndarray:
-        """0/1 indicator of the next-hop vector over the n devices and the
-        access point, the rows of silent (zero-power) devices empty."""
-        I = routing.plan_to_indicator(self.targets, len(self.targets) + 1)
-        I[np.flatnonzero(self.powers == 0)] = 0
-        return I
 
 
 @dataclass
@@ -246,9 +240,8 @@ class _Run:
     in ascending device order without device i; so every number equals
     what a fresh run computes, bit for bit.
 
-    A run raises ValueError when it is built if a start power is not
-    positive, since a silent link has no rate to score; every move sets a
-    positive power, so every row of the indicator stays single-link. The
+    A profile's powers are positive, and every move sets a positive
+    power, so every row of the indicator stays single-link. The
     chain-termination defect is then twice the number of devices whose
     chain never reaches the access point, and device i's link decides
     only whether i and its ancestors (the devices whose chains pass
@@ -282,12 +275,6 @@ class _Run:
         self.processing = [float(d.c_p * demand[i]) for i, d in enumerate(self.devices)]
         self.floor = [d.p_max / power_grid for d in self.devices]
         self.cache: list[dict] = [{} for _ in range(n)]
-        if not min(self.powers) > 0:
-            k = self.powers.index(min(self.powers))
-            raise ValueError(
-                f"device {k} has power {self.powers[k]:g}; best responses need every device "
-                "to transmit with positive power"
-            )
         self._label()
         self.interference = [self.co_target_power(j) for j in range(n + 1)]
         self.links: list[list[tuple[float, float, float] | None]] = [[None] * (n + 1) for _ in range(n)]
@@ -383,22 +370,21 @@ class _Run:
         """(power, profit, squared lateness) of device i's candidate link
         to j at `inflow`; None for a relay link whose gain or rate is 0, as
         at a power that rounds to 0. The relay power is `deadline_power`."""
-        d = self.devices[i]
         if j == self.ap:
             p = self.floor[i]
             terms = self._terms(i, j, p, inflow, interference)
+            if terms is not None and math.isfinite(terms[0]):
+                return (p, *terms)
             floor = f"on its direct link at the power floor p_max/power_grid = {p:.6g}"
             if terms is None:
                 raise ScenarioError(
                     f"device {i} has rate 0 {floor} (channel gain {self.H[i][j]:.6g}, "
                     f"noise {self.sigma2:g}); a smaller --power-grid raises the floor"
                 )
-            if not math.isfinite(terms[0]):
-                raise ScenarioError(
-                    f"device {i} has a non-finite profit {floor}: its energy cost "
-                    f"c_t * I_d * p / rate overflows (c_t = {d.c_t:g}, I_d = {self.I_d:g})"
-                )
-            return (p, *terms)
+            raise ScenarioError(
+                f"device {i} has a non-finite profit {floor}: its energy cost "
+                f"c_t * I_d * p / rate overflows (c_t = {self.devices[i].c_t:g}, I_d = {self.I_d:g})"
+            )
         if not self.H[i][j] > 0:  # rate 0 at any power
             return None
         p = self.deadline_power(i, j, inflow, interference)
@@ -625,7 +611,8 @@ def solve_stackelberg(
     profits = np.array([run.current(i)[0] for i in range(scen.n_devices)])
     profile = run.profile()
     rates = radio.transmission_rates(profile.targets, profile.powers, scen)
-    feas, violations = routing.feasible(profile.indicator(), demand, rates, scen, cfg.eps_feas)
+    I = routing.plan_to_indicator(profile.targets, scen.n_nodes)
+    feas, violations = routing.feasible(I, demand, rates, scen, cfg.eps_feas)
     return EquilibriumReport(
         prices=profile.prices,
         targets=profile.targets,

@@ -42,7 +42,7 @@ from fedrelay.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from fedrelay.upper_level import PenaltyConfig
+from fedrelay.upper_level import PenaltyConfig, default_init, unilateral_gains
 from support import make_device, make_scenario
 
 
@@ -930,7 +930,7 @@ EXCEPTION_NAMES = [
         ({"prices": [50.0, 5.0], "targets": [0, 2], "powers": [1.0, 1.0]}, "itself"),
         ({"prices": [50.0], "targets": [2], "powers": [1.0]}, "scenario has 2"),
         ({"prices": [50.0, 5.0], "targets": [7, 2], "powers": [1.0, 1.0]}, "targets must lie"),
-        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [-1.0, 1.0]}, "nonnegative"),
+        ({"prices": [50.0, 5.0], "targets": [2, 2], "powers": [-1.0, 1.0]}, "powers must be positive"),
         ({"prices": [50.0, 5.0], "targets": [1.7, 2], "powers": [1.0, 1.0]}, "integers"),
         ({"prices": [float("nan"), 5.0], "targets": [1, 2], "powers": [1.0, 1.0]}, "prices must be finite"),
         ({"prices": [50.0, 5.0], "targets": [1, 2], "powers": [float("inf"), 1.0]}, "powers must be finite"),
@@ -1085,6 +1085,37 @@ def test_validate_prints_nothing_before_exit_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("invalid config:") and "no positive transmission rate" in err
+
+
+def _paper9_direct(powers):
+    """A profile on paper9 seed 7: every device direct at its closed-form price, at `powers`."""
+    start = default_init(paper9_scenario(7))
+    return {"prices": start.prices.tolist(), "targets": start.targets.tolist(), "powers": powers}
+
+
+@pytest.mark.parametrize("power", [0.0, -0.0, -1.0, -1e-320])
+def test_validate_rejects_nonpositive_power(tmp_path, capsys, power):
+    path = _write_json(tmp_path, "profile.json", _paper9_direct([1.0] * 8 + [power]))
+    assert main(["validate", *PAPER9, "--profile", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid config: profile {path}: powers must be positive\n"
+
+
+def test_validate_rejects_direct_link_at_rate_0(tmp_path, capsys):
+    # 1e-320 is a positive power, but its rate to the access point rounds to 0
+    profile = _paper9_direct([1e-320] + [1.0] * 8)
+    path = _write_json(tmp_path, "profile.json", profile)
+    assert main(["validate", *PAPER9, "--profile", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"invalid config: profile {path}: device 0 sends to the access point "
+        "but has no positive transmission rate\n"
+    )
+    # the certificate cannot score that link either
+    with pytest.raises(ValueError, match="^device 0 transmits to node 9 with power .* at rate 0$"):
+        unilateral_gains(cli._profile_from_json(profile), paper9_scenario(7), PenaltyConfig.m_schedule[-1])
 
 
 def test_sweep_rejects_non_numeric_values(tmp_path, capsys):

@@ -33,6 +33,11 @@ def test_silent_device_flagged():
     assert np.isnan(rates[0])
 
 
+def test_rates_reject_negative_power():
+    with pytest.raises(ValueError, match="^powers must be nonnegative$"):
+        transmission_rates(np.array([1]), np.array([-1e-300]), unit_gain_scenario())
+
+
 def test_rates_match_grouping_oracle(rng):
     for trial in range(60):
         n = int(rng.integers(3, 7))

@@ -39,23 +39,28 @@ def grid_positions(n):
 
 
 def test_profile_indicator_single_entry():
-    I = StrategyProfile([1.0, 1.0], [1, 2], [0.5, 0.0]).indicator()
+    profile = StrategyProfile([1.0, 1.0], [1, 2], [0.5, 1.0])
+    I = plan_to_indicator(profile.targets, 3)
     assert I.dtype == np.int64 and I.shape == (3, 3)
-    assert I[0, 1] == 1
-    assert I.sum() == 1
+    assert I[0, 1] == 1 and I[1, 2] == 1
+    assert I.sum() == 2
+    with pytest.raises(ValueError, match="^powers must be positive$"):
+        StrategyProfile([1.0, 1.0], [1, 2], [0.5, 0.0])
 
 
-def test_profile_indicator_silent_rows_and_denormal():
-    silent = StrategyProfile([1.0] * 3, [3, 3, 0], [0.0] * 3).indicator()
-    assert silent.sum() == 0 and silent.shape == (4, 4)
-    I = StrategyProfile([1.0], [1], [1e-300]).indicator()
+def test_profile_rejects_zero_powers_keeps_denormal():
+    with pytest.raises(ValueError, match="^powers must be positive$"):
+        StrategyProfile([1.0] * 3, [3, 3, 0], [0.0] * 3)
+    profile = StrategyProfile([1.0], [1], [1e-300])
+    I = plan_to_indicator(profile.targets, 2)
     assert I[0, 1] == 1
     assert np.array_equal(I, plan_to_indicator([1], 2))
 
 
 def test_profile_rejects_negative_power():
-    with pytest.raises(ValueError, match="nonnegative"):
-        StrategyProfile([1.0], [1], [-1.0])
+    for power in (-1.0, -0.0, -5e-324):
+        with pytest.raises(ValueError, match="^powers must be positive$"):
+            StrategyProfile([1.0], [1], [power])
 
 
 def test_single_link_on_table_routing():

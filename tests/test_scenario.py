@@ -120,11 +120,8 @@ _TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
             "device parameter q_max must be >= the price floor 0.00012",
         ),
         (dict(positions=[[1.0, 1.0], [1.0, 1.0]]), "node positions must be pairwise distinct"),
-        # 1e-170 squared underflows to 0: a zero distance, not an infinite gain
-        (
-            dict(positions=[[0.0, 0.0], [1e-170, 0.0], [5.0, 5.0]]),
-            "node positions must be pairwise distinct",
-        ),
+        # distinct coordinates, though 1e-170 squared underflows to a zero distance
+        (dict(positions=[[0.0, 0.0], [1e-170, 0.0], [5.0, 5.0]]), _CLOSE),
         (dict(positions=[[0.0, 0.0], [1e200, 0.0]]), f"{_FAR}: a squared distance overflows"),
         (
             dict(positions=[[0.0, 0.0], [1e60, 0.0]], alpha=6.0),

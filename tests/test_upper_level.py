@@ -524,16 +524,16 @@ def test_relay_br_matches_grid_candidate_oracle():
 
 
 def test_relay_br_requires_positive_powers():
-    scen = relayable_scenario()
-    profile = StrategyProfile(np.array([50.0, 5.0]), np.array([2, 2]), np.array([1.0, 0.0]))
-    demand = best_response_demand(profile.prices, scen)
-    with pytest.raises(ValueError, match="positive power"):
-        fresh_best_response(0, profile, demand, scen, M_FINAL)
-    # one silent device: its link has no rate for the certificate to score
+    # a zero power is no strategy: no profile, so no best response, holds one
+    with pytest.raises(ValueError, match="^powers must be positive$"):
+        StrategyProfile(np.array([50.0, 5.0]), np.array([2, 2]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="^powers must be positive$"):
+        StrategyProfile(np.array([50.0]), np.array([1]), np.array([0.0]))
+    # a positive power whose rate rounds to 0 has no rate for the certificate to score
     solo = make_scenario([[3.0, 0.0], [0.0, 0.0]])
-    silent = StrategyProfile(np.array([50.0]), np.array([1]), np.array([0.0]))
-    with pytest.raises(ValueError, match="positive power"):
-        unilateral_gains(silent, solo, M_FINAL)
+    stalled = StrategyProfile(np.array([50.0]), np.array([1]), np.array([1e-320]))
+    with pytest.raises(ValueError, match="^device 0 transmits to node 1 with power .* at rate 0$"):
+        unilateral_gains(stalled, solo, M_FINAL)
 
 
 # ------------------------------------------------------------- dynamics
@@ -912,8 +912,10 @@ def test_strategy_profile_validation():
         StrategyProfile(np.ones(2), [1, 2], [np.inf, 1.0])
     with pytest.raises(ValueError, match="powers must be finite"):
         StrategyProfile(np.ones(2), [1, 2], [np.nan, 1.0])
-    # integral floats are targets; a zero power is a silent device
-    profile = StrategyProfile(np.ones(2), [1.0, 2.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="^powers must be positive$"):
+        StrategyProfile(np.ones(2), [1, 2], [1.0, 0.0])
+    # integral floats are targets
+    profile = StrategyProfile(np.ones(2), [1.0, 2.0], [1.0, 1e-300])
     assert profile.targets.dtype.kind == "i"
     assert profile.targets.tolist() == [1, 2]
 

@@ -26,11 +26,8 @@ import tempfile
 from pathlib import Path
 
 from fedrelay.cli import main
-from fedrelay.scenario import RandomSpec, random_scenario, save_scenario
+from fedrelay.scenario import RELAY_SPEC, random_scenario, save_scenario
 
-# `scenario.RELAY_SPEC`, written out: the digest also runs against checkouts
-# that predate the constant.
-RELAY_SPEC = RandomSpec(r_p=(5.0, 4.0))
 MASK = "<tmp>"
 
 

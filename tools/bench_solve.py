@@ -113,9 +113,6 @@ INSTANCES = (
     "relay n=80 seed 0",
     *BUILDS,
 )
-# `scenario.RELAY_SPEC`'s one field, written out: the harness also runs
-# against checkouts that predate the constant
-RELAY_R_P = (5.0, 4.0)
 
 
 def relays(report) -> int:
@@ -128,7 +125,7 @@ def build(name: str, tmp: Path):
     """(n, run) of the instance `name`, from the fedrelay on this process's
     path; `run()` makes one sample and returns (rounds, converged, relays)."""
     from fedrelay import cli
-    from fedrelay.scenario import RandomSpec, paper9_scenario, random_scenario
+    from fedrelay.scenario import RELAY_SPEC, RandomSpec, paper9_scenario, random_scenario
     from fedrelay.upper_level import solve_stackelberg
 
     fresh_dirs = (tmp / f"out{k}" for k in itertools.count())
@@ -166,15 +163,14 @@ def build(name: str, tmp: Path):
 
         return 9, run
     if name == "relay n=9 seed 0 I_d sweep":
-        scen = random_scenario(9, 0, RandomSpec(r_p=RELAY_R_P))
+        scen = random_scenario(9, 0, RELAY_SPEC)
         reports = []
 
         class SweepSettings(cli.RunConfig):
             """`fedrelay sweep`'s default settings, keeping every report."""
 
-            def solve(self, scen, **kwargs):
-                # kwargs: an older `sweep_rows` passes the option that skipped its reverse-order run
-                report = super().solve(scen, **kwargs)
+            def solve(self, scen):
+                report = super().solve(scen)
                 reports.append(report)
                 return report
 
@@ -194,7 +190,7 @@ def build(name: str, tmp: Path):
         scen = paper9_scenario(7)
     else:
         kind, n, _, seed = name.split()
-        spec = RandomSpec(r_p=RELAY_R_P) if kind == "relay" else RandomSpec()
+        spec = RELAY_SPEC if kind == "relay" else RandomSpec()
         scen = random_scenario(int(n.removeprefix("n=")), int(seed), spec)
 
     def run():
