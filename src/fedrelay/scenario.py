@@ -222,8 +222,7 @@ class Scenario:
 def _distance_matrix(positions: np.ndarray) -> np.ndarray:
     """Pairwise node distances; ScenarioError when a squared distance
     overflows, which takes coordinates about 1e154 apart, or when two
-    nodes share their coordinates. Coincidence is read from the
-    coordinates: a distance under about 1e-162 squares to 0."""
+    nodes share their coordinates."""
     try:
         with np.errstate(over="raise"):
             diff = positions[:, None, :] - positions[None, :, :]
@@ -232,7 +231,10 @@ def _distance_matrix(positions: np.ndarray) -> np.ndarray:
         raise ScenarioError(
             "node positions are too far apart: a squared distance overflows"
         ) from None
-    if np.count_nonzero((diff == 0.0).all(axis=2)) > len(positions):  # the diagonal is all 0
+    # beyond the diagonal's zeros, a zero squared distance is two coincident
+    # nodes, or distinct ones under about 1e-162 apart, whose square underflows
+    n = len(positions)
+    if np.count_nonzero(squared == 0.0) > n and np.count_nonzero((diff == 0.0).all(axis=2)) > n:
         raise ScenarioError("node positions must be pairwise distinct")
     return np.sqrt(squared)
 
